@@ -31,43 +31,29 @@ def _bridge(w, block, outer):
     return (w[left - 1], w[right - 1])
 
 
-def _neighboring_pairs(pi, nest):
-    """Pairs of blocks with a common nearest outer (or both covering) that
-    are adjacent: no position of a third block with the same outer lies
-    strictly between their supports."""
-    by_outer = {}
-    for v, (o, _d) in nest.items():
-        by_outer.setdefault(o, []).append(v)
-    pairs = []
-    for group in by_outer.values():
-        group.sort(key=lambda b: b[0])
-        for u, v in zip(group, group[1:]):
-            pairs.append((u, v))
-    return pairs
-
-
 def is_adapted(pi, w):
     """Adaptedness of a noncrossing partition to the word w: every block
     subword is a Motzkin word, depths are bounded by subword heights,
-    subword heights dominate bridge heights, and neighboring blocks of
-    equal depth have equal heights."""
+    subword heights dominate bridge heights, and neighboring blocks (with
+    a common nearest outer block) have equal heights."""
     w = tuple(w)
     pi = tuple(tuple(b) for b in pi)
     if sp.ground_size(pi) != len(w):
         raise ValueError('partition/word length mismatch')
-    if not sp.is_noncrossing(pi):
+    try:
+        nest = sp.nesting(pi)
+    except ValueError:
         return False
     if not all(_block_ok(w, b) for b in pi):
         return False
-    nest = sp.nesting(pi)
     for v, (outer, depth) in nest.items():
         h = w[v[0] - 1]
         if depth > h:
             return False
         if outer is not None and h < wd.bridge_height(_bridge(w, v, outer)):
             return False
-    for u, v in _neighboring_pairs(pi, nest):
-        if nest[u][1] == nest[v][1]:
+    for group in sp.siblings(nest).values():
+        for u, v in zip(group, group[1:]):
             if w[u[0] - 1] != w[v[0] - 1]:
                 return False
     return True
@@ -145,11 +131,7 @@ def admissible_coarsenings(pi, w, kind='both'):
     nest = sp.nesting(pi)
     candidates = []
     if kind in ('juxtaposition', 'both'):
-        by_outer = {}
-        for v, (o, _d) in nest.items():
-            by_outer.setdefault(o, []).append(v)
-        for group in by_outer.values():
-            group.sort(key=lambda b: b[0])
+        for group in sp.siblings(nest).values():
             for i, u in enumerate(group):
                 for v in group[i + 1:]:
                     candidates.append((u, v))

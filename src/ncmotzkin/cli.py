@@ -17,7 +17,7 @@ from . import cumulants as cm
 from . import partitions as sp
 from . import replicas as rp
 from . import words as wd
-from .cumulants import format_poly
+from .cumulants import format_belement, format_poly
 
 
 def _word_json(w):
@@ -46,16 +46,6 @@ def _poly_json(p, variables):
         out.append({'coeff': str(p.terms[mono]),
                     'monomial': [_sym_json(s, positions) for s in mono]})
     return out
-
-
-def _belement_text(b):
-    if b.is_zero():
-        return '0'
-    bits = []
-    for j in sorted(b.comp):
-        name = '1' if j == 0 else f'p{j}'
-        bits.append(f'({format_poly(b.comp[j])})*{name}')
-    return ' + '.join(bits)
 
 
 def _emit(out=''):
@@ -207,7 +197,7 @@ def cmd_replicas_moment(args):
         else:
             _emit(json.dumps({'terms': _poly_json(val, variables)}))
     else:
-        _emit(_belement_text(val) if spec == 'E' else format_poly(val))
+        _emit(format_belement(val) if spec == 'E' else format_poly(val))
 
 
 def _load_distribution(path):

@@ -11,7 +11,6 @@ yield the Boolean convolution.
 """
 
 from fractions import Fraction
-from functools import lru_cache
 
 from .cumulants import (Poly, ZERO, ONE, m_sym, moment_to_free,
                         moment_to_boolean, beta_sym, _restrict, _prod, _sum)
@@ -23,12 +22,18 @@ from . import words as wd
 
 class Distribution:
     """Moment table on words over a finite alphabet, truncated at a fixed
-    order; the empty word has moment 1."""
+    order; the empty word has moment 1.
+
+    In JSON a moment key joins the word's variable names with '' when
+    every name is one character, and with ',' otherwise."""
 
     def __init__(self, alphabet, order, moments):
         self.alphabet = tuple(alphabet)
         if len(set(self.alphabet)) != len(self.alphabet):
             raise ValueError('alphabet letters must be distinct')
+        if any(not v or ',' in v for v in self.alphabet):
+            raise ValueError('variable names must be nonempty and '
+                             'contain no comma')
         if order < 0:
             raise ValueError('order must be >= 0')
         self.order = order
@@ -62,17 +67,23 @@ class Distribution:
 
     @classmethod
     def from_json(cls, data):
+        sep = _key_sep(data['alphabet'])
         return cls(data['alphabet'], data['order'],
-                   {tuple(k): Fraction(v)
-                    for k, v in data['moments'].items()})
+                   {tuple(k.split(sep)) if sep and k else tuple(k):
+                    Fraction(v) for k, v in data['moments'].items()})
 
     def to_json(self):
+        sep = _key_sep(self.alphabet)
         return {
             'alphabet': list(self.alphabet),
             'order': self.order,
-            'moments': {''.join(k): str(v)
+            'moments': {sep.join(k): str(v)
                         for k, v in sorted(self.moments.items())},
         }
+
+
+def _key_sep(alphabet):
+    return '' if all(len(v) == 1 for v in alphabet) else ','
 
 
 def _all_words(alphabet, n):
@@ -113,48 +124,35 @@ def _check_pair(mu1, mu2, word):
         raise ValueError(f'word length {n} exceeds distribution order')
 
 
-@lru_cache(maxsize=None)
-def _free_cumulant_label(label, args):
-    return moment_to_free(label, args)
+def _product_sym(labeled_word, partitions, cumulant):
+    word = [(str(v), l) for v, l in labeled_word]
+    n = len(word)
+    if n == 0:
+        return ONE
+    names = tuple(v for v, _l in word)
+    labels = tuple(l for _v, l in word)
+    out = ZERO
+    for pi in partitions(n):
+        if not all(len({labels[p - 1] for p in b}) == 1 for b in pi):
+            continue
+        out = out + _prod(cumulant(labels[b[0] - 1], _restrict(names, b))
+                          for b in pi)
+    return out
 
 
 def free_product_sym(labeled_word):
     """Free product moment as a polynomial in the marginal moment symbols:
     sum over noncrossing partitions with label-constant blocks of products
     of marginal free cumulants."""
-    word = [(str(v), l) for v, l in labeled_word]
-    n = len(word)
-    if n == 0:
-        return ONE
-    names = tuple(v for v, _l in word)
-    labels = tuple(l for _v, l in word)
-    out = ZERO
-    for pi in sp.noncrossing_partitions(n):
-        if not all(len({labels[p - 1] for p in b}) == 1 for b in pi):
-            continue
-        out = out + _prod(
-            _free_cumulant_label(labels[b[0] - 1], _restrict(names, b))
-            for b in pi)
-    return out
+    return _product_sym(labeled_word, sp.noncrossing_partitions,
+                        moment_to_free)
 
 
 def boolean_product_sym(labeled_word):
     """Boolean product moment: sum over interval partitions with
     label-constant blocks of products of marginal Boolean cumulants."""
-    word = [(str(v), l) for v, l in labeled_word]
-    n = len(word)
-    if n == 0:
-        return ONE
-    names = tuple(v for v, _l in word)
-    labels = tuple(l for _v, l in word)
-    out = ZERO
-    for pi in sp.interval_partitions(n):
-        if not all(len({labels[p - 1] for p in b}) == 1 for b in pi):
-            continue
-        out = out + _prod(
-            moment_to_boolean(labels[b[0] - 1], _restrict(names, b))
-            for b in pi)
-    return out
+    return _product_sym(labeled_word, sp.interval_partitions,
+                        moment_to_boolean)
 
 
 def free_product_moment(mu1, mu2, labeled_word):

@@ -6,6 +6,7 @@ in {'m', 'beta', 'r'}, an integer label (0 = unlabeled) and a tuple of
 variable-id strings. The distinguished variable '1' is the algebra unit.
 """
 
+from bisect import bisect_left
 from fractions import Fraction
 from functools import lru_cache
 
@@ -69,6 +70,8 @@ class Poly:
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             other = Poly.const(other)
+        if not isinstance(other, Poly):
+            return NotImplemented
         return self.terms == other.terms
 
     def __hash__(self):
@@ -101,6 +104,17 @@ def format_poly(p):
         coeff = '' if (c == 1 and mono) else f'{c}*' if mono else str(c)
         parts.append(f'{coeff}{body}')
     return ' + '.join(parts).replace('+ -', '- ')
+
+
+def format_belement(b):
+    """Text of an element of the span of 1 and the projections p_j."""
+    if b.is_zero():
+        return '0'
+    bits = []
+    for j in sorted(b.comp):
+        name = '1' if j == 0 else f'p{j}'
+        bits.append(f'({format_poly(b.comp[j])})*{name}')
+    return ' + '.join(bits)
 
 
 def m_sym(label, args):
@@ -284,29 +298,17 @@ def render_nested(pi, w, head='B'):
     """Render the nested cumulant of a partition: each inner block's
     cumulant value attaches to the right of the parent argument
     immediately preceding the block."""
-    pi = sp.normalize(pi)
     w = tuple(w)
-    nest = sp.nesting(pi)
-    children = {b: [] for b in pi}
-    for v, (outer, _d) in nest.items():
-        if outer is not None:
-            children[outer].append(v)
-    for v in children:
-        children[v].sort(key=lambda b: b[0])
+    children = sp.siblings(sp.nesting(sp.normalize(pi)))
 
     def render_block(b):
         sub = ''.join(str(x) for x in ad.block_subword(w, b))
-        parts = []
-        for p in b:
-            piece = f'a{p}'
-            for c in children[b]:
-                if max(q for q in b if q < c[0]) == p:
-                    piece += render_block(c)
-            parts.append(piece)
+        parts = [f'a{p}' for p in b]
+        for c in children[b]:
+            parts[bisect_left(b, c[0]) - 1] += render_block(c)
         return f'{head}_{sub}(' + ','.join(parts) + ')'
 
-    covering = [b for b in pi if nest[b][0] is None]
-    return ''.join(render_block(b) for b in covering)
+    return ''.join(render_block(b) for b in children[None])
 
 
 def refinement_coefficient(pi_prime, pi, w):
@@ -326,8 +328,9 @@ def refinement_coefficient(pi_prime, pi, w):
         inner = [tuple(index[p] for p in b) for b in pi if b[0] in index]
         if any(p not in index for b in pi if b[0] in index for p in b):
             return 0
-        sub = ad.block_subword(w, v)
-        if sp.normalize(inner) not in ad.enumerate_adapted(sub, 'irr'):
+        inner = sp.normalize(inner)
+        if not (ad.is_adapted(inner, ad.block_subword(w, v))
+                and sp.is_irreducible(inner)):
             return 0
         coeff *= (-1) ** (len(inner) - 1)
     return coeff

@@ -3,6 +3,9 @@ nesting structure and the join in the noncrossing lattice.
 
 A partition is stored canonically as a tuple of blocks, each block a
 tuple of increasing 1-based elements, blocks ordered by their minima.
+The nesting scan behind `is_noncrossing`, `nesting` and `join_nc` reads
+a block's first element as its minimum and its last as its maximum, so
+it needs increasing blocks: the canonical form `normalize` produces.
 """
 
 from functools import lru_cache
@@ -10,6 +13,8 @@ from functools import lru_cache
 
 def normalize(blocks):
     bs = tuple(sorted(tuple(sorted(b)) for b in blocks))
+    if not bs:
+        raise ValueError('the empty partition has no ground set 1..n')
     seen = set()
     for b in bs:
         if not b:
@@ -49,30 +54,34 @@ def enumerate_all(n):
     return out
 
 
+def _scan(pi):
+    """Nesting tree of pi, or its first crossing, in one left-to-right
+    pass with a stack of the blocks opened and not yet closed.
+
+    When a block opens, the top of the stack is its nearest outer block
+    and the stack height + 1 is its depth. A later element of a block
+    that is not on top means that the top block opened after the block
+    and closes after this element: the two cross. Returns (nest, None),
+    nest mapping block -> (outer or None, depth) in order of minima, or
+    (None, (top, block)) at the first crossing.
+    """
+    block_of = {x: b for b in pi for x in b}
+    nest = {}
+    stack = []
+    for x, b in sorted(block_of.items()):
+        if x == b[0]:
+            nest[b] = (stack[-1] if stack else None, len(stack) + 1)
+            stack.append(b)
+        elif stack[-1] is not b:
+            return None, (stack[-1], b)
+        if x == b[-1]:
+            stack.pop()
+    return nest, None
+
+
 def is_noncrossing(pi):
     """No a < b < c < d with a, c in one block and b, d in another."""
-    for i, u in enumerate(pi):
-        for v in pi[i + 1:]:
-            # u comes first (smaller min); crossing iff v has elements both
-            # inside and outside some gap of u
-            inside = outside = False
-            for x in v:
-                if any(a < x < b for a, b in zip(u, u[1:])):
-                    inside = True
-                if x < u[0] or x > u[-1]:
-                    outside = True
-                if inside and outside:
-                    return False
-            # also u interleaving v
-            inside = outside = False
-            for x in u:
-                if any(a < x < b for a, b in zip(v, v[1:])):
-                    inside = True
-                if x < v[0] or x > v[-1]:
-                    outside = True
-                if inside and outside:
-                    return False
-    return True
+    return _scan(pi)[1] is None
 
 
 def is_irreducible(pi):
@@ -135,31 +144,26 @@ def interval_partitions(n):
 
 
 def nesting(pi):
-    """Map block -> (nearest outer block or None, depth).
+    """Map block -> (nearest outer block or None, depth), in order of the
+    blocks' minima.
 
     The nearest outer block of V is the block W with min(W) < min(V) and
     max(W) > max(V) whose span is smallest; covering blocks have depth 1.
     """
-    if not is_noncrossing(pi):
+    nest, crossing = _scan(pi)
+    if crossing is not None:
         raise ValueError('nesting requires a noncrossing partition')
-    outer = {}
-    for v in pi:
-        best = None
-        for u in pi:
-            if u is v:
-                continue
-            if u[0] < v[0] and u[-1] > v[-1]:
-                if best is None or u[-1] - u[0] < best[-1] - best[0]:
-                    best = u
-        outer[v] = best
-    depth = {}
+    return nest
 
-    def d(v):
-        if v not in depth:
-            depth[v] = 1 if outer[v] is None else d(outer[v]) + 1
-        return depth[v]
 
-    return {v: (outer[v], d(v)) for v in pi}
+def siblings(nest):
+    """Map each block of a nesting map to the blocks whose nearest outer
+    block it is, and None to the covering blocks, in order of minima."""
+    kids = {None: []}
+    kids.update((b, []) for b in nest)
+    for b, (outer, _d) in nest.items():
+        kids[outer].append(b)
+    return kids
 
 
 def join_nc(pi, rho):
@@ -187,25 +191,15 @@ def join_nc(pi, rho):
             for x in b[1:]:
                 union(b[0], x)
 
-    def current():
+    while True:
         groups = {}
         for x in range(1, n + 1):
             groups.setdefault(find(x), []).append(x)
-        return normalize(groups.values())
-
-    while True:
-        cur = current()
-        if is_noncrossing(cur):
+        cur = normalize(groups.values())
+        crossing = _scan(cur)[1]
+        if crossing is None:
             return cur
-        merged = False
-        for i, u in enumerate(cur):
-            for v in cur[i + 1:]:
-                if not is_noncrossing((u, v)):
-                    union(u[0], v[0])
-                    merged = True
-                    break
-            if merged:
-                break
+        union(crossing[0][0], crossing[1][0])
 
 
 def refines(pi, rho):

@@ -10,10 +10,12 @@ conditional expectation E takes values in the span of 1 and the
 orthogonal projections p_1, p_2, ...
 """
 
+from bisect import bisect_left
 from fractions import Fraction
 from itertools import product as iproduct
 
-from .cumulants import (Poly, ONE, ZERO, m_sym, moment_to_boolean)
+from .cumulants import (Poly, ONE, ZERO, m_sym, moment_to_boolean,
+                        format_belement)
 from . import adapted as ad
 from . import partitions as sp
 from . import words as wd
@@ -159,11 +161,6 @@ def e_proj(n):
 def p_proj(n):
     """Orthogonal projection of color n: p_n = e_n - e_{n-1}."""
     return e_proj(n) - e_proj(n - 1)
-
-
-def unit_rep(j):
-    """Replica of the algebra unit at color j."""
-    return p_proj(j)
 
 
 def _site_branches(tokens):
@@ -316,14 +313,7 @@ class BElement:
         return out
 
     def __repr__(self):
-        from .cumulants import format_poly
-        if not self.comp:
-            return 'BElement(0)'
-        bits = []
-        for j in sorted(self.comp):
-            name = '1' if j == 0 else f'p{j}'
-            bits.append(f'({format_poly(self.comp[j])})*{name}')
-        return ' + '.join(bits)
+        return format_belement(self) if self.comp else 'BElement(0)'
 
 
 B_ZERO = BElement()
@@ -433,32 +423,22 @@ def B_w_rep(w, args):
 
 def _nested_rep(w, pi, args, leaf):
     """Evaluate the nested cumulant of a partition adapted to w, with the
-    given leaf evaluator on (word, args); inner blocks are eliminated
-    deepest first, each value attaching to the preceding argument."""
+    given leaf evaluator on (word, args): each inner block's value
+    multiplies the argument of its outer block just before the inner
+    block, leftmost first."""
     w = tuple(w)
-    pi = sp.normalize(pi)
-    positions = list(range(1, len(w) + 1))
-    args = list(args)
-    blocks = list(pi)
-    while True:
-        nest = sp.nesting(tuple(blocks))
-        inner = [b for b in blocks if nest[b][0] is not None]
-        if not inner:
-            break
-        v = max(inner, key=lambda b: (nest[b][1], -b[0]))
-        val = leaf(ad.block_subword(w, v),
-                   [args[positions.index(p)] for p in v])
-        left = max(p for p in positions if p < v[0] and p not in v)
-        args[positions.index(left)] = args[positions.index(left)] * val.embed()
-        keep = [i for i, p in enumerate(positions) if p not in v]
-        positions = [positions[i] for i in keep]
-        args = [args[i] for i in keep]
-        w_map = {p: w[p - 1] for p in positions}
-        blocks = [b for b in blocks if b != v]
+    children = sp.siblings(sp.nesting(sp.normalize(pi)))
+
+    def value(b):
+        vals = [args[p - 1] for p in b]
+        for c in children[b]:
+            i = bisect_left(b, c[0]) - 1
+            vals[i] = vals[i] * value(c).embed()
+        return leaf(ad.block_subword(w, b), vals)
+
     out = BElement({0: 1})
-    for b in blocks:
-        out = out * leaf(tuple(w[p - 1] for p in b),
-                         [args[positions.index(p)] for p in b])
+    for b in children[None]:
+        out = out * value(b)
     return out
 
 

@@ -115,6 +115,16 @@ def test_replicas_moment(capsys):
                        '--labels', '12', '--vars', 'a,b')
     assert code == 0
     assert out == 'm_1(a)*m_2(b)\n'
+    code, out, _ = run(capsys, 'replicas', 'moment', '--word', '121',
+                       '--labels', '112', '--vars', 'a,b,c',
+                       '--functional', 'E')
+    assert code == 0
+    assert out == '0\n'
+    code, out, _ = run(capsys, 'replicas', 'moment', '--word', '11',
+                       '--labels', '12', '--vars', 'a,b',
+                       '--functional', 'E')
+    assert code == 0
+    assert out == '(m_1(a)*m_2(b))*p1\n'
 
 
 def test_replicas_moment_expectation_json(capsys):
@@ -146,6 +156,12 @@ def test_convolve(capsys, tmp_path):
                        str(path), '--monomial', 'x,x,x,x', '--by-path')
     assert code == 0
     assert out.splitlines() == ['1111: 4', '1121: 0', '1211: 0', '1221: 2']
+    mu = cv.univariate_distribution([0, 1, 0, 1], 'x1')
+    path.write_text(json.dumps(mu.to_json()))
+    code, out, _ = run(capsys, 'convolve', '--mu1', str(path), '--mu2',
+                       str(path), '--monomial', 'x1,x1,x1,x1')
+    assert code == 0
+    assert out == '6\n'
 
 
 def test_convolve_missing_file(capsys, tmp_path):

@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 from itertools import product as iproduct
 
@@ -50,6 +51,27 @@ def test_distribution_json_round_trip():
     again = cv.Distribution.from_json(mu.to_json())
     assert again.moments == mu.moments
     assert again.alphabet == mu.alphabet
+    # one-character names keep the original ''-joined keys
+    readme = {'alphabet': ['x'], 'order': 4,
+              'moments': {'x': '0', 'xx': '1', 'xxx': '0', 'xxxx': '1'}}
+    assert cv.Distribution.from_json(readme).to_json() == readme
+    with pytest.raises(ValueError):
+        cv.Distribution(('a,b',), 1, {('a,b',): 0})
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.text('ab1', min_size=1, max_size=3), min_size=1,
+                max_size=3, unique=True),
+       st.integers(0, 3), st.data())
+def test_distribution_json_round_trip_names(alphabet, order, data):
+    moments = {word: data.draw(st.fractions(max_denominator=10))
+               for n in range(1, order + 1)
+               for word in iproduct(alphabet, repeat=n)}
+    mu = cv.Distribution(alphabet, order, moments)
+    again = cv.Distribution.from_json(json.loads(json.dumps(mu.to_json())))
+    assert again.alphabet == mu.alphabet
+    assert again.order == mu.order
+    assert again.moments == mu.moments
 
 
 def test_three_letter_difference():

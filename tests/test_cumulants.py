@@ -2,7 +2,9 @@ import pytest
 from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
+from ncmotzkin import adapted as ad
 from ncmotzkin import cumulants as cm
+from ncmotzkin import partitions as sp
 from ncmotzkin import words as wd
 from ncmotzkin.cumulants import Poly, ZERO, ONE, beta_sym, m_sym, UNIT
 from ncmotzkin.acceptance import EX102_PIECES, FIG4_PIECES, _beta_pi, _catalan
@@ -16,6 +18,8 @@ def test_poly_arithmetic():
     assert (x - x).is_zero()
     assert 2 * x == x + x
     assert Poly.const(Fraction(1, 2)) * 2 == ONE
+    assert ONE != 'x'
+    assert not ONE == None  # noqa: E711
 
 
 def test_unit_rules():
@@ -149,6 +153,31 @@ def test_refinement_coefficients():
     # non-refining pairs get coefficient zero
     assert cm.refinement_coefficient(
         [(1, 2, 3)], [(1, 2), (3,)], (1, 1, 1)) == 0
+
+
+def refinement_by_membership(pi_prime, pi, w):
+    """The coefficient by searching each block's irreducible family."""
+    if not sp.refines(pi, pi_prime):
+        return 0
+    coeff = 1
+    for v in pi_prime:
+        index = {p: i + 1 for i, p in enumerate(v)}
+        inner = sp.normalize([tuple(index[p] for p in b)
+                              for b in pi if b[0] in index])
+        if inner not in ad.enumerate_adapted(ad.block_subword(w, v), 'irr'):
+            return 0
+        coeff *= (-1) ** (len(inner) - 1)
+    return coeff
+
+
+def test_refinement_coefficient_matches_membership():
+    for n in range(1, 6):
+        for w in wd.enumerate_words(n):
+            family = ad.enumerate_adapted(w)
+            for pi_prime in family:
+                for pi in family:
+                    assert cm.refinement_coefficient(pi_prime, pi, w) \
+                        == refinement_by_membership(pi_prime, pi, w)
 
 
 def test_format_poly_deterministic():

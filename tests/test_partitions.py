@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -19,6 +21,8 @@ def test_normalize_validates():
         sp.normalize([(1, 2), (2, 3)])
     with pytest.raises(ValueError):
         sp.normalize([(1,), (3,)])
+    with pytest.raises(ValueError, match='empty partition'):
+        sp.normalize(())
 
 
 def test_is_noncrossing():
@@ -37,6 +41,8 @@ def test_nesting_depths():
     nest = sp.nesting(((1, 4), (2, 3)))
     assert nest[(1, 4)] == (None, 1)
     assert nest[(2, 3)] == ((1, 4), 2)
+    with pytest.raises(ValueError):
+        sp.nesting(((1, 3), (2, 4)))
 
 
 def test_refines():
@@ -70,3 +76,63 @@ def test_join_is_commutative(pair):
 
 def test_format_partition():
     assert sp.format_partition(((1, 3), (2,))) == '{{1,3},{2}}'
+
+
+# Oracles written from the definitions; they share no code with the
+# stack scan behind is_noncrossing, nesting and join_nc.
+
+def crosses(pi):
+    """Some a < b < c < d with a, c in one block and b, d in another."""
+    return any(a < b < c < d
+               for u in pi for v in pi if u != v
+               for a, c in combinations(u, 2)
+               for b, d in combinations(v, 2))
+
+
+def nc_by_definition(n):
+    return [p for p in sp.enumerate_all(n) if not crosses(p)]
+
+
+def nesting_by_definition(pi):
+    """Outer block: the containing block of smallest span; depth: one
+    more than the depth of the outer block."""
+    def outer(v):
+        around = [u for u in pi if u[0] < v[0] and v[-1] < u[-1]]
+        return min(around, key=lambda u: u[-1] - u[0], default=None)
+
+    def depth(v):
+        return 1 if outer(v) is None else 1 + depth(outer(v))
+
+    return {v: (outer(v), depth(v)) for v in pi}
+
+
+def coarsens(rho, pi):
+    return all(any(set(b) <= set(c) for c in rho) for b in pi)
+
+
+def test_is_noncrossing_matches_definition():
+    for n in range(1, 9):
+        for pi in sp.enumerate_all(n):
+            assert sp.is_noncrossing(pi) == (not crosses(pi)), pi
+
+
+def test_nesting_matches_definition():
+    for n in range(1, 10):
+        for pi in nc_by_definition(n):
+            nest = sp.nesting(pi)
+            assert nest == nesting_by_definition(pi), pi
+            kids = {o: sorted(v for v in pi if nest[v][0] == o)
+                    for o in (None,) + pi}
+            assert sp.siblings(nest) == kids, pi
+
+
+def test_join_matches_brute_force():
+    for n in range(1, 6):
+        nc = nc_by_definition(n)
+        for pi in nc:
+            for rho in nc:
+                uppers = [v for v in nc
+                          if coarsens(v, pi) and coarsens(v, rho)]
+                least = [v for v in uppers
+                         if all(coarsens(u, v) for u in uppers)]
+                assert [sp.join_nc(pi, rho)] == least, (pi, rho)
