@@ -31,42 +31,47 @@ def _bridge(w, block, outer):
     return (w[left - 1], w[right - 1])
 
 
-def is_adapted(pi, w):
-    """Adaptedness of a noncrossing partition to the word w: every block
-    subword is a Motzkin word, depths are bounded by subword heights,
-    subword heights dominate bridge heights, and neighboring blocks (with
-    a common nearest outer block) have equal heights."""
-    w = tuple(w)
+def _adapted_nesting(pi, w):
+    """The nesting map of pi if pi is adapted to w, else None."""
     pi = tuple(tuple(b) for b in pi)
     if sp.ground_size(pi) != len(w):
         raise ValueError('partition/word length mismatch')
     try:
         nest = sp.nesting(pi)
     except ValueError:
-        return False
+        return None
     if not all(_block_ok(w, b) for b in pi):
-        return False
+        return None
     for v, (outer, depth) in nest.items():
         h = w[v[0] - 1]
         if depth > h:
-            return False
+            return None
         if outer is not None and h < wd.bridge_height(_bridge(w, v, outer)):
-            return False
+            return None
     for group in sp.siblings(nest).values():
         for u, v in zip(group, group[1:]):
             if w[u[0] - 1] != w[v[0] - 1]:
-                return False
-    return True
+                return None
+    return nest
+
+
+def is_adapted(pi, w):
+    """Adaptedness of a noncrossing partition to the word w: every block
+    subword is a Motzkin word, depths are bounded by subword heights,
+    subword heights dominate bridge heights, and neighboring blocks (with
+    a common nearest outer block) have equal heights."""
+    return _adapted_nesting(pi, tuple(w)) is not None
 
 
 def is_monotone(pi, w):
     """Monotonically adapted: adapted, every block subword constant, and
     each block's depth equals its (constant) letter offset by the height:
     d(V) = h(v) - h(w) + 1."""
-    if not is_adapted(pi, w):
+    w = tuple(w)
+    nest = _adapted_nesting(pi, w)
+    if nest is None:
         return False
     base = min(w)
-    nest = sp.nesting(tuple(tuple(b) for b in pi))
     for v, (_o, depth) in nest.items():
         sub = block_subword(w, v)
         if len(set(sub)) != 1:
@@ -82,16 +87,15 @@ def enumerate_adapted(w, cls='all'):
     w = tuple(w)
     n = len(w)
     preds = {
-        'all': lambda p: True,
-        'irr': sp.is_irreducible,
+        'all': lambda p: is_adapted(p, w),
+        'irr': lambda p: is_adapted(p, w) and sp.is_irreducible(p),
         'monotone': lambda p: is_monotone(p, w),
-        'monotone_irr': lambda p: sp.is_irreducible(p) and is_monotone(p, w),
+        'monotone_irr': lambda p: is_monotone(p, w) and sp.is_irreducible(p),
     }
     if cls not in preds:
         raise ValueError(f'unknown class {cls!r}')
     pred = preds[cls]
-    return [p for p in sp.noncrossing_partitions(n)
-            if is_adapted(p, w) and pred(p)]
+    return [p for p in sp.noncrossing_partitions(n) if pred(p)]
 
 
 def zero_hat(w):

@@ -1,9 +1,10 @@
 """Exact symbolic cumulant calculus.
 
 Polynomials are linear combinations of monomials in formal symbols with
-Fraction coefficients. A symbol is a tuple (kind, label, args) with kind
-in {'m', 'beta', 'r'}, an integer label (0 = unlabeled) and a tuple of
-variable-id strings. The distinguished variable '1' is the algebra unit.
+exact coefficients: `int` when integral, `Fraction` otherwise. A symbol
+is a tuple (kind, label, args) with kind in {'m', 'beta', 'r'}, an
+integer label (0 = unlabeled) and a tuple of variable-id strings. The
+distinguished variable '1' is the algebra unit.
 """
 
 from bisect import bisect_left
@@ -18,7 +19,8 @@ UNIT = '1'
 
 
 class Poly:
-    """Multivariate polynomial in commuting formal symbols."""
+    """Multivariate polynomial in commuting formal symbols. A coefficient
+    is an `int` when it is integral and a `Fraction` otherwise."""
 
     __slots__ = ('terms',)
 
@@ -26,25 +28,28 @@ class Poly:
         self.terms = {}
         if terms:
             for mono, c in terms.items():
-                c = Fraction(c)
+                if type(c) is not int:
+                    c = Fraction(c)
                 if c:
                     mono = tuple(sorted(mono))
                     self.terms[mono] = self.terms.get(mono, 0) + c
-            self.terms = {m: c for m, c in self.terms.items() if c}
+            self.terms = {m: _num(c) for m, c in self.terms.items() if c}
 
     @classmethod
     def const(cls, c):
-        return cls({(): Fraction(c)})
+        return cls({(): c})
 
     @classmethod
     def symbol(cls, kind, label, args):
-        return cls({((kind, label, tuple(args)),): Fraction(1)})
+        return _poly({((kind, label, tuple(args)),): 1})
 
     def __add__(self, other):
         out = dict(self.terms)
         for mono, c in other.terms.items():
-            out[mono] = out.get(mono, 0) + c
-        return Poly(out)
+            c += out.pop(mono, 0)
+            if c:
+                out[mono] = _num(c)
+        return _poly(out)
 
     def __sub__(self, other):
         return self + (-1) * other
@@ -53,16 +58,18 @@ class Poly:
         return (-1) * self
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return Poly({m: c * other for m, c in self.terms.items()})
-        if not isinstance(other, Poly):
+        if isinstance(other, Poly):
+            out = {}
+            for m1, c1 in self.terms.items():
+                for m2, c2 in other.terms.items():
+                    mono = tuple(sorted(m1 + m2)) if m1 and m2 else m1 or m2
+                    out[mono] = out.get(mono, 0) + c1 * c2
+            return _poly({m: _num(c) for m, c in out.items() if c})
+        if not isinstance(other, (int, Fraction)):
             return NotImplemented
-        out = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                mono = tuple(sorted(m1 + m2))
-                out[mono] = out.get(mono, 0) + c1 * c2
-        return Poly(out)
+        if not other:
+            return _poly({})
+        return _poly({m: _num(c * other) for m, c in self.terms.items()})
 
     def __rmul__(self, other):
         return self.__mul__(other)
@@ -84,6 +91,19 @@ class Poly:
         return 'Poly(' + format_poly(self) + ')'
 
 
+def _num(c):
+    """An exact coefficient as an int when it is integral."""
+    return c.numerator if type(c) is Fraction and c.denominator == 1 else c
+
+
+def _poly(terms):
+    """The Poly with these terms, taken as they are: sorted monomials to
+    nonzero coefficients, each an int when integral."""
+    p = object.__new__(Poly)
+    p.terms = terms
+    return p
+
+
 ZERO = Poly()
 ONE = Poly.const(1)
 
@@ -100,9 +120,11 @@ def format_poly(p):
     parts = []
     for mono in sorted(p.terms):
         c = p.terms[mono]
-        body = '*'.join(format_symbol(s) for s in mono) or '1'
-        coeff = '' if (c == 1 and mono) else f'{c}*' if mono else str(c)
-        parts.append(f'{coeff}{body}')
+        if not mono:
+            parts.append(str(c))
+            continue
+        body = '*'.join(format_symbol(s) for s in mono)
+        parts.append(body if c == 1 else f'{c}*{body}')
     return ' + '.join(parts).replace('+ -', '- ')
 
 
@@ -198,7 +220,7 @@ def boolean_to_moment(label, args):
 def free_in_boolean(label, args):
     """r(args) as a signed sum of beta products over irreducible
     noncrossing partitions."""
-    return _sum(Fraction((-1) ** (len(pi) - 1))
+    return _sum((-1) ** (len(pi) - 1)
                 * _prod(beta_sym(label, _restrict(args, b)) for b in pi)
                 for pi in sp.irreducible_partitions(len(args)))
 
@@ -221,7 +243,7 @@ def expand_symbols(poly, rule):
     """Replace every symbol by rule(symbol) -> Poly and re-expand."""
     out = ZERO
     for mono, c in poly.terms.items():
-        out = out + Fraction(c) * _prod(rule(s) for s in mono)
+        out = out + c * _prod(rule(s) for s in mono)
     return out
 
 
@@ -263,9 +285,8 @@ def motzkin_k(w, args):
     names = tuple(v for v, _l in args)
     out = ZERO
     for pi in ad.enumerate_adapted(w, 'monotone_irr'):
-        sign = Fraction((-1) ** (len(pi) - 1))
-        out = out + sign * _prod(beta_sym(label, _restrict(names, b))
-                                 for b in pi)
+        out = out + (-1) ** (len(pi) - 1) * _prod(
+            beta_sym(label, _restrict(names, b)) for b in pi)
     return out
 
 

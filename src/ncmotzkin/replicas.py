@@ -12,6 +12,7 @@ orthogonal projections p_1, p_2, ...
 
 from bisect import bisect_left
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product as iproduct
 
 from .cumulants import (Poly, ONE, ZERO, m_sym, moment_to_boolean,
@@ -70,33 +71,17 @@ class Rep:
     __slots__ = ('terms',)
 
     def __init__(self, terms=None):
-        self.terms = {}
-        if terms:
-            for key, c in terms.items():
-                if isinstance(c, (int, Fraction)):
-                    c = Poly.const(c)
-                if not c.is_zero():
-                    cur = self.terms.get(key)
-                    tot = c if cur is None else cur + c
-                    if tot.is_zero():
-                        self.terms.pop(key, None)
-                    else:
-                        self.terms[key] = tot
+        self.terms = _nonzero(terms or {})
 
     def __add__(self, other):
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            out[k] = out[k] + c if k in out else c
-        return Rep(out)
+        return _rep(_sum_maps(self.terms, other.terms))
 
     def __sub__(self, other):
         return self + (-1) * other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, Poly)):
-            if isinstance(other, (int, Fraction)):
-                other = Poly.const(other)
-            return Rep({k: c * other for k, c in self.terms.items()})
+        if not isinstance(other, Rep):
+            return _rep(_scaled(self.terms, other))
         out = {}
         for (a1, a2), c in self.terms.items():
             for (b1, b2), d in other.terms.items():
@@ -109,16 +94,58 @@ class Rep:
                 key = (s1, s2)
                 cd = c * d
                 out[key] = out[key] + cd if key in out else cd
-        return Rep(out)
+        return _rep({k: c for k, c in out.items() if c.terms})
 
     def __rmul__(self, other):
         return self.__mul__(other)
 
     def __eq__(self, other):
+        if not isinstance(other, Rep):
+            return NotImplemented
         return self.terms == other.terms
 
     def is_zero(self):
         return not self.terms
+
+
+def _nonzero(coeffs):
+    """A key -> coefficient map as key -> Poly, without zero entries."""
+    out = {}
+    for k, c in coeffs.items():
+        if isinstance(c, (int, Fraction)):
+            c = Poly.const(c)
+        if c.terms:
+            out[k] = c
+    return out
+
+
+def _sum_maps(a, b):
+    """The sum of two key -> nonzero Poly maps, without zero entries."""
+    out = dict(a)
+    for k, c in b.items():
+        if k in out:
+            c = out.pop(k) + c
+        if c.terms:
+            out[k] = c
+    return out
+
+
+def _scaled(coeffs, s):
+    """A key -> Poly map times the number or Poly s, without zero
+    entries."""
+    out = {}
+    for k, c in coeffs.items():
+        c = c * s
+        if c.terms:
+            out[k] = c
+    return out
+
+
+def _rep(terms):
+    """The Rep with these key -> nonzero Poly terms, taken as they are."""
+    x = object.__new__(Rep)
+    x.terms = terms
+    return x
 
 
 REP_ZERO = Rep()
@@ -207,7 +234,7 @@ def _phi_site(tokens, label):
         val = ONE
         for run in _runs(word):
             val = val * m_sym(label, run)
-        out = out + Fraction(sign) * val
+        out = out + sign * val
     return out
 
 
@@ -253,33 +280,17 @@ class BElement:
     __slots__ = ('comp',)
 
     def __init__(self, comp=None):
-        self.comp = {}
-        if comp:
-            for j, c in comp.items():
-                if isinstance(c, (int, Fraction)):
-                    c = Poly.const(c)
-                if not c.is_zero():
-                    cur = self.comp.get(j)
-                    tot = c if cur is None else cur + c
-                    if tot.is_zero():
-                        self.comp.pop(j, None)
-                    else:
-                        self.comp[j] = tot
+        self.comp = _nonzero(comp or {})
 
     def __add__(self, other):
-        out = dict(self.comp)
-        for j, c in other.comp.items():
-            out[j] = out[j] + c if j in out else c
-        return BElement(out)
+        return _belement(_sum_maps(self.comp, other.comp))
 
     def __sub__(self, other):
         return self + (-1) * other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, Poly)):
-            if isinstance(other, (int, Fraction)):
-                other = Poly.const(other)
-            return BElement({j: c * other for j, c in self.comp.items()})
+        if not isinstance(other, BElement):
+            return _belement(_scaled(self.comp, other))
         c0 = self.comp.get(0, ZERO)
         d0 = other.comp.get(0, ZERO)
         out = {0: c0 * d0}
@@ -289,12 +300,14 @@ class BElement:
             cj = self.comp.get(j, ZERO)
             dj = other.comp.get(j, ZERO)
             out[j] = c0 * dj + cj * d0 + cj * dj
-        return BElement(out)
+        return _belement({j: c for j, c in out.items() if c.terms})
 
     def __rmul__(self, other):
         return self.__mul__(other)
 
     def __eq__(self, other):
+        if not isinstance(other, BElement):
+            return NotImplemented
         return self.comp == other.comp
 
     def is_zero(self):
@@ -314,6 +327,14 @@ class BElement:
 
     def __repr__(self):
         return format_belement(self) if self.comp else 'BElement(0)'
+
+
+def _belement(comp):
+    """The BElement with these color -> nonzero Poly components, taken as
+    they are."""
+    b = object.__new__(BElement)
+    b.comp = comp
+    return b
 
 
 B_ZERO = BElement()
@@ -362,27 +383,39 @@ def _strip(string):
 
 
 def expectation(x):
-    """Conditional expectation onto the span of 1 and the p_j: boundary
-    projections of each tensor factor determine the output color, the
-    interior is evaluated by phi."""
-    out = BElement()
-    for (s1, s2), coeff in x.terms.items():
-        for sign1, b1 in _branch_strings(s1):
-            for sign2, b2 in _branch_strings(s2):
-                e1, f1, core1 = _strip(b1)
-                e2, f2, core2 = _strip(b2)
-                val = phi(Rep({(core1, core2): coeff}))
-                if val.is_zero():
-                    continue
-                val = Fraction(sign1 * sign2) * val
-                je = min(e1 | e2) if e1 | e2 else None
-                jf = min(f1 | f2) if f1 | f2 else None
-                ks = [k for k in (je, jf) if k is not None]
-                if not ks:
-                    out = out + BElement({0: val})
-                else:
-                    k = min(ks)
-                    out = out + BElement({i: val for i in range(1, k + 1)})
+    """Conditional expectation onto the span of 1 and the p_j. E is
+    linear, so it is the sum over the terms of x of the coefficient times
+    the expectation of the term's monomial; those are cached for the life
+    of the process."""
+    out = B_ZERO
+    for key, coeff in x.terms.items():
+        out = out + _expect_mono(key) * coeff
+    return out
+
+
+@lru_cache(maxsize=None)
+def _expect_mono(key):
+    """E of one two-string monomial: boundary projections of each tensor
+    factor determine the output color, the interior is evaluated by
+    phi."""
+    s1, s2 = key
+    out = B_ZERO
+    for sign1, b1 in _branch_strings(s1):
+        for sign2, b2 in _branch_strings(s2):
+            e1, f1, core1 = _strip(b1)
+            e2, f2, core2 = _strip(b2)
+            val = phi(_rep({(core1, core2): ONE}))
+            if val.is_zero():
+                continue
+            val = sign1 * sign2 * val
+            je = min(e1 | e2) if e1 | e2 else None
+            jf = min(f1 | f2) if f1 | f2 else None
+            ks = [k for k in (je, jf) if k is not None]
+            if not ks:
+                out = out + _belement({0: val})
+            else:
+                k = min(ks)
+                out = out + _belement({i: val for i in range(1, k + 1)})
     return out
 
 
@@ -404,21 +437,24 @@ def replica_word(variables, labels, w):
 
 
 def B_w_rep(w, args):
-    """w-Boolean cumulant of replica-algebra arguments, by recursion
-    over the interval splits of w."""
+    """w-Boolean cumulant of replica-algebra arguments. E(1..n) is the
+    sum over the interval splits of w of the products of B over their
+    blocks; grouping the splits by their first block gives
+    B(1..k) = E(1..k) - sum over cuts c < k of B(1..c) E(c+1..k), where
+    a cut c has w_c = w_(c+1) = height(w)."""
     w = tuple(w)
     if len(args) != len(w):
         raise ValueError('argument/word length mismatch')
-    out = expectation(rep_product(args))
-    for split in ad.interval_splits(w):
-        if len(split) == 1:
-            continue
-        prod = BElement({0: 1})
-        for block in split:
-            prod = prod * B_w_rep(ad.block_subword(w, block),
-                                  [args[p - 1] for p in block])
-        out = out - prod
-    return out
+    h = wd.height(w)
+    ends = [c for c in range(1, len(w)) if w[c - 1] == w[c] == h]
+    ends.append(len(w))
+    B = {}
+    for i, k in enumerate(ends):
+        out = expectation(rep_product(args[:k]))
+        for c in ends[:i]:
+            out = out - B[c] * expectation(rep_product(args[c:k]))
+        B[k] = out
+    return B[len(w)]
 
 
 def _nested_rep(w, pi, args, leaf):
@@ -471,7 +507,7 @@ def K_closed_rep(w, args):
     out = B_ZERO
     for pi in ad.enumerate_adapted(w, 'irr'):
         term = B_pi_rep(w, pi, args)
-        out = out + Fraction((-1) ** (len(pi) - 1)) * term
+        out = out + (-1) ** (len(pi) - 1) * term
     return out
 
 
@@ -509,6 +545,6 @@ def K_closed_form_rep(w, variables, labels):
         return B_ZERO
     val = ZERO
     for pi in ad.enumerate_adapted(w, 'monotone_irr'):
-        val = val + Fraction((-1) ** (len(pi) - 1)) * beta_hat_pi(
+        val = val + (-1) ** (len(pi) - 1) * beta_hat_pi(
             pi, labels, variables)
     return BElement({wd.height(w): val})

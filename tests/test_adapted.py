@@ -1,3 +1,5 @@
+from itertools import product as iproduct
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -121,3 +123,27 @@ def test_poset_vertices():
     assert len(verts) == sum(
         len(ad.enumerate_adapted(w, 'all')) for w in wd.enumerate_words(3))
     assert ad.poset_leq(verts[0], verts[0])
+
+
+def monotone_by_definition(pi, w):
+    """Monotone adaptedness with its own nesting scan after is_adapted."""
+    if not ad.is_adapted(pi, w):
+        return False
+    base = min(w)
+    for v, (_o, depth) in sp.nesting(pi).items():
+        sub = ad.block_subword(w, v)
+        if len(set(sub)) != 1 or depth != sub[0] - base + 1:
+            return False
+    return True
+
+
+def test_is_monotone_matches_definition():
+    for n in range(1, 7):
+        family = sp.noncrossing_partitions(n)
+        for w in iproduct((1, 2, 3), repeat=n):
+            mono = [pi for pi in family if monotone_by_definition(pi, w)]
+            assert [pi for pi in family if ad.is_monotone(pi, w)] == mono
+            if wd.is_motzkin(w):
+                assert ad.enumerate_adapted(w, 'monotone') == mono
+                assert ad.enumerate_adapted(w, 'monotone_irr') == \
+                    [pi for pi in mono if sp.is_irreducible(pi)]

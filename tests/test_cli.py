@@ -125,6 +125,10 @@ def test_replicas_moment(capsys):
                        '--functional', 'E')
     assert code == 0
     assert out == '(m_1(a)*m_2(b))*p1\n'
+    code, out, _ = run(capsys, 'replicas', 'moment', '--word', '1',
+                       '--labels', '1', '--vars', '1')
+    assert code == 0
+    assert out == '1\n'
 
 
 def test_replicas_moment_expectation_json(capsys):

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 from ncmotzkin import adapted as ad
 from ncmotzkin import cumulants as cm
 from ncmotzkin import partitions as sp
+from ncmotzkin import replicas as rp
 from ncmotzkin import words as wd
 from ncmotzkin.cumulants import Poly, ZERO, ONE, beta_sym, m_sym, UNIT
 from ncmotzkin.acceptance import EX102_PIECES, FIG4_PIECES, _beta_pi, _catalan
@@ -183,3 +184,62 @@ def test_refinement_coefficient_matches_membership():
 def test_format_poly_deterministic():
     p = beta_sym(0, ('x', 'y')) - 2 * beta_sym(0, ('x',))
     assert cm.format_poly(p) == '-2*beta(x) + beta(x,y)'
+
+
+def test_format_poly_constant_terms():
+    assert cm.format_poly(Poly.const(3)) == '3'
+    assert cm.format_poly(Poly.const(Fraction(-1, 2))) == '-1/2'
+    assert cm.format_poly(ONE + m_sym(0, ('x',))) == '1 + m(x)'
+    assert cm.format_poly(m_sym(0, ('x',)) - Poly.const(2)) == '-2 + m(x)'
+    assert repr(rp.expectation(rp.p_proj(1))) == '(1)*p1'
+
+
+SYMBOLS = [('m', 0, ('x',)), ('m', 0, ('y',)), ('beta', 1, ('x', 'y'))]
+COEFFS = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+POLY_DICTS = st.dictionaries(
+    st.lists(st.sampled_from(SYMBOLS), max_size=3).map(
+        lambda ms: tuple(sorted(ms))),
+    COEFFS, max_size=4)
+
+
+def reference_sum(a, b, sign=1):
+    out = dict(a)
+    for mono, c in b.items():
+        out[mono] = out.get(mono, 0) + sign * c
+    return {m: c for m, c in out.items() if c}
+
+
+def reference_product(a, b):
+    out = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            mono = tuple(sorted(m1 + m2))
+            out[mono] = out.get(mono, 0) + c1 * c2
+    return {m: c for m, c in out.items() if c}
+
+
+def assert_exact_types(p):
+    for c in p.terms.values():
+        assert type(c) is (int if c.denominator == 1 else Fraction)
+
+
+@settings(max_examples=200, deadline=None)
+@given(POLY_DICTS, POLY_DICTS, COEFFS)
+def test_poly_matches_fraction_reference(a, b, s):
+    p, q = Poly(a), Poly(b)
+    a = {m: c for m, c in a.items() if c}
+    b = {m: c for m, c in b.items() if c}
+    cases = [(p + q, reference_sum(a, b)),
+             (p - q, reference_sum(a, b, -1)),
+             (p * q, reference_product(a, b)),
+             (s * p, {m: s * c for m, c in a.items() if s * c})]
+    for got, want in cases:
+        assert got.terms == want
+        assert_exact_types(got)
+
+
+def test_integral_coefficients_are_int():
+    p = cm.moment_to_free(0, ('x',) * 6)
+    assert p.terms and all(type(c) is int for c in p.terms.values())
+    assert_exact_types(Poly.const(Fraction(4, 2)))
+    assert_exact_types(Poly.const(Fraction(1, 2)) * 2)

@@ -1,8 +1,10 @@
 from fractions import Fraction
+from itertools import product as iproduct
 
 import pytest
 
 from ncmotzkin import acceptance as ac
+from ncmotzkin import adapted as ad
 from ncmotzkin import replicas as rp
 from ncmotzkin.cumulants import m_sym
 
@@ -167,3 +169,79 @@ def test_replica_rejects_bad_input():
         rp.replica('a', 1, 0)
     with pytest.raises(ValueError):
         rp.psi(0, rp.REP_ONE)
+
+
+def test_equality_with_foreign_types():
+    assert rp.REP_ONE != 0
+    assert not rp.REP_ONE == 0
+    assert rp.B_ZERO != 0
+    assert not rp.B_ZERO == 'x'
+
+
+# The expectation and B_w as first written, kept unchanged as the
+# reference for the per-monomial cache and the first-block recurrence.
+
+def frozen_expectation(x):
+    """Conditional expectation onto the span of 1 and the p_j: boundary
+    projections of each tensor factor determine the output color, the
+    interior is evaluated by phi."""
+    out = rp.BElement()
+    for (s1, s2), coeff in x.terms.items():
+        for sign1, b1 in rp._branch_strings(s1):
+            for sign2, b2 in rp._branch_strings(s2):
+                e1, f1, core1 = rp._strip(b1)
+                e2, f2, core2 = rp._strip(b2)
+                val = rp.phi(rp.Rep({(core1, core2): coeff}))
+                if val.is_zero():
+                    continue
+                val = Fraction(sign1 * sign2) * val
+                je = min(e1 | e2) if e1 | e2 else None
+                jf = min(f1 | f2) if f1 | f2 else None
+                ks = [k for k in (je, jf) if k is not None]
+                if not ks:
+                    out = out + rp.BElement({0: val})
+                else:
+                    k = min(ks)
+                    out = out + rp.BElement({i: val for i in range(1, k + 1)})
+    return out
+
+
+def frozen_B_w_rep(w, args):
+    """w-Boolean cumulant of replica-algebra arguments, by recursion
+    over the interval splits of w."""
+    w = tuple(w)
+    if len(args) != len(w):
+        raise ValueError('argument/word length mismatch')
+    out = frozen_expectation(rp.rep_product(args))
+    for split in ad.interval_splits(w):
+        if len(split) == 1:
+            continue
+        prod = rp.BElement({0: 1})
+        for block in split:
+            prod = prod * frozen_B_w_rep(ad.block_subword(w, block),
+                                         [args[p - 1] for p in block])
+        out = out - prod
+    return out
+
+
+def test_B_w_rep_matches_split_recursion():
+    pairs = 0
+    for n in range(1, 6):
+        for w in ac._am_words(n):
+            for ell in iproduct((1, 2), repeat=n):
+                args = ac._replicas(w, ell, 'x')
+                assert rp.B_w_rep(w, args) == frozen_B_w_rep(w, args), \
+                    (w, ell)
+                pairs += 1
+    assert pairs == 778
+
+
+def test_expectation_matches_uncached():
+    for n in range(1, 5):
+        for w in iproduct((1, 2, 3), repeat=n):
+            for ell in iproduct((1, 2), repeat=n):
+                args = ac._replicas(w, ell, 'x')
+                for i, j in iproduct(range(n + 1), (1, 2, 3)):
+                    x = rp.rep_product(args[:i] + [rp.p_proj(j)] + args[i:])
+                    assert rp.expectation(x) == frozen_expectation(x), \
+                        (w, ell, i, j)
