@@ -82,20 +82,16 @@ def is_monotone(pi, w):
 
 
 def enumerate_adapted(w, cls='all'):
-    """Adapted partitions of w, as a filter over the noncrossing
-    partitions of [n]. Classes: all, irr, monotone, monotone_irr."""
+    """Adapted partitions of w, as a filter over the irreducible
+    noncrossing partitions of [n] for the classes irr and monotone_irr
+    and over all of them for all and monotone."""
     w = tuple(w)
-    n = len(w)
-    preds = {
-        'all': lambda p: is_adapted(p, w),
-        'irr': lambda p: is_adapted(p, w) and sp.is_irreducible(p),
-        'monotone': lambda p: is_monotone(p, w),
-        'monotone_irr': lambda p: is_monotone(p, w) and sp.is_irreducible(p),
-    }
-    if cls not in preds:
+    if cls not in ('all', 'irr', 'monotone', 'monotone_irr'):
         raise ValueError(f'unknown class {cls!r}')
-    pred = preds[cls]
-    return [p for p in sp.noncrossing_partitions(n) if pred(p)]
+    family = (sp.irreducible_partitions if cls.endswith('irr')
+              else sp.noncrossing_partitions)
+    test = is_monotone if cls.startswith('monotone') else is_adapted
+    return [p for p in family(len(w)) if test(p, w)]
 
 
 def zero_hat(w):
@@ -123,26 +119,18 @@ def zero_hat(w):
     return sp.normalize(blocks)
 
 
-def admissible_coarsenings(pi, w, kind='both'):
+def admissible_coarsenings(pi, w):
     """One-step coarsenings of an adapted partition that stay adapted:
     merging two blocks with a common nearest outer (juxtaposition;
     blocks lying between the pair become nested) or merging a block
     into its nearest outer (insertion)."""
-    if kind not in ('juxtaposition', 'insertion', 'both'):
-        raise ValueError(f'unknown kind {kind!r}')
     pi = sp.normalize(pi)
     w = tuple(w)
     nest = sp.nesting(pi)
-    candidates = []
-    if kind in ('juxtaposition', 'both'):
-        for group in sp.siblings(nest).values():
-            for i, u in enumerate(group):
-                for v in group[i + 1:]:
-                    candidates.append((u, v))
-    if kind in ('insertion', 'both'):
-        for v, (outer, _d) in nest.items():
-            if outer is not None:
-                candidates.append((v, outer))
+    candidates = [(u, v) for group in sp.siblings(nest).values()
+                  for i, u in enumerate(group) for v in group[i + 1:]]
+    candidates += [(v, outer) for v, (outer, _d) in nest.items()
+                   if outer is not None]
     out = []
     seen = set()
     for u, v in candidates:
@@ -280,16 +268,15 @@ def poset_leq(a, b):
 
 
 def hasse(vertices, leq):
-    """Cover relations of a finite poset given by a comparison predicate."""
+    """Cover relations of a finite poset given by a comparison predicate:
+    b covers a when b lies in the strict up-set of a and in the up-set
+    of no element of it."""
+    up = [[j for j, b in enumerate(vertices) if b != a and leq(a, b)]
+          for a in vertices]
     edges = []
-    for a in vertices:
-        for b in vertices:
-            if a == b or not leq(a, b):
-                continue
-            if any(c not in (a, b) and leq(a, c) and leq(c, b)
-                   for c in vertices):
-                continue
-            edges.append((a, b))
+    for a, above in zip(vertices, up):
+        beyond = set().union(*(up[c] for c in above))
+        edges += [(a, vertices[b]) for b in above if b not in beyond]
     return edges
 
 

@@ -47,10 +47,7 @@ class Distribution:
                     raise ValueError(f'missing moment for {"".join(word)}')
 
     def _word(self, word):
-        if isinstance(word, str):
-            word = tuple(word)
-        else:
-            word = tuple(word)
+        word = tuple(word)
         for v in word:
             if v not in self.alphabet:
                 raise ValueError(f'unknown variable {v!r}')

@@ -44,6 +44,8 @@ class Poly:
         return _poly({((kind, label, tuple(args)),): 1})
 
     def __add__(self, other):
+        if not isinstance(other, Poly):
+            return NotImplemented
         out = dict(self.terms)
         for mono, c in other.terms.items():
             c += out.pop(mono, 0)
@@ -194,14 +196,13 @@ def moment_to_free(label, args):
 
 @lru_cache(maxsize=None)
 def moment_to_boolean(label, args):
-    """Boolean cumulant beta(args) expanded in moment symbols."""
-    n = len(args)
+    """Boolean cumulant beta(args) expanded in moment symbols:
+    beta(1..n) = m(1..n) - sum_{j<n} beta(1..j) m(j+1..n)."""
+    if not args:
+        raise ValueError('empty argument list')
     out = m_sym(label, args)
-    for pi in sp.interval_partitions(n):
-        if len(pi) == 1:
-            continue
-        out = out - _prod(moment_to_boolean(label, _restrict(args, b))
-                          for b in pi)
+    for j in range(1, len(args)):
+        out = out - moment_to_boolean(label, args[:j]) * m_sym(label, args[j:])
     return out
 
 

@@ -6,6 +6,7 @@ tuple of increasing 1-based elements, blocks ordered by their minima.
 The nesting scan behind `is_noncrossing`, `nesting` and `join_nc` reads
 a block's first element as its minimum and its last as its maximum, so
 it needs increasing blocks: the canonical form `normalize` produces.
+NC(n), NC_irr(n) and Int(n) are generated from their components.
 """
 
 from functools import lru_cache
@@ -33,10 +34,15 @@ def ground_size(pi):
     return sum(len(b) for b in pi)
 
 
-def enumerate_all(n):
-    """All set partitions of [n] via restricted growth strings."""
+def _check_size(n):
     if n < 1:
         raise ValueError('n must be >= 1')
+    return n
+
+
+def enumerate_all(n):
+    """All set partitions of [n] via restricted growth strings."""
+    _check_size(n)
     out = []
 
     def rec(assign, kmax):
@@ -97,50 +103,56 @@ def is_interval(pi):
     return all(b[-1] - b[0] + 1 == len(b) for b in pi)
 
 
-def enumerate_partitions(n, cls='all'):
-    preds = {
-        'all': lambda p: True,
-        'nc': is_noncrossing,
-        'nc_irr': lambda p: is_noncrossing(p) and is_irreducible(p),
-        'interval': is_interval,
-    }
-    if cls not in preds:
-        raise ValueError(f'unknown class {cls!r}')
-    return sorted(p for p in enumerate_all(n) if preds[cls](p))
+@lru_cache(maxsize=None)
+def _concatenations(n, component):
+    """Sorted partitions of [n]: a component(j) on 1..j, then one of the
+    same family shifted to j+1..n. Noncrossing partitions split so into
+    irreducible components, interval partitions into single blocks."""
+    if n == 0:
+        return ((),)
+    return tuple(sorted(
+        first + tuple(tuple(x + j for x in b) for b in rest)
+        for j in range(1, n + 1) for first in component(j)
+        for rest in _concatenations(n - j, component)))
 
 
 @lru_cache(maxsize=None)
-def _nc_cached(n):
-    return tuple(enumerate_partitions(n, 'nc'))
+def _irreducible(n):
+    """NC_irr(n): each member of NC(n-1) with n joined to the block of 1,
+    a bijection; sorted."""
+    if n == 1:
+        return (((1,),),)
+    return tuple(sorted((pi[0] + (n,),) + pi[1:]
+                        for pi in _concatenations(n - 1, _irreducible)))
+
+
+def _one_block(n):
+    return ((tuple(range(1, n + 1)),),)
 
 
 def noncrossing_partitions(n):
-    return list(_nc_cached(n))
-
-
-@lru_cache(maxsize=None)
-def _nc_irr_cached(n):
-    return tuple(p for p in _nc_cached(n) if is_irreducible(p))
+    return list(_concatenations(_check_size(n), _irreducible))
 
 
 def irreducible_partitions(n):
-    return list(_nc_irr_cached(n))
+    return list(_irreducible(_check_size(n)))
 
 
-@lru_cache(maxsize=None)
 def interval_partitions(n):
-    out = []
-    for mask in range(1 << (n - 1)):
-        blocks = []
-        cur = [1]
-        for k in range(1, n):
-            if mask >> (k - 1) & 1:
-                blocks.append(tuple(cur))
-                cur = []
-            cur.append(k + 1)
-        blocks.append(tuple(cur))
-        out.append(tuple(blocks))
-    return sorted(out)
+    return list(_concatenations(_check_size(n), _one_block))
+
+
+def enumerate_partitions(n, cls='all'):
+    """Sorted partitions of [n] of a class: all, nc, nc_irr, interval."""
+    families = {
+        'all': lambda n: sorted(enumerate_all(n)),
+        'nc': noncrossing_partitions,
+        'nc_irr': irreducible_partitions,
+        'interval': interval_partitions,
+    }
+    if cls not in families:
+        raise ValueError(f'unknown class {cls!r}')
+    return families[cls](n)
 
 
 def nesting(pi):

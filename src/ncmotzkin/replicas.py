@@ -74,6 +74,8 @@ class Rep:
         self.terms = _nonzero(terms or {})
 
     def __add__(self, other):
+        if not isinstance(other, Rep):
+            return NotImplemented
         return _rep(_sum_maps(self.terms, other.terms))
 
     def __sub__(self, other):
@@ -283,6 +285,8 @@ class BElement:
         self.comp = _nonzero(comp or {})
 
     def __add__(self, other):
+        if not isinstance(other, BElement):
+            return NotImplemented
         return _belement(_sum_maps(self.comp, other.comp))
 
     def __sub__(self, other):

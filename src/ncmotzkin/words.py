@@ -88,8 +88,6 @@ def enumerate_words(n, height=1):
             extend(prefix, nxt)
             prefix.pop()
 
-    if n == 1:
-        return [(j,)]
     extend([j], j)
     return out
 

@@ -147,3 +147,64 @@ def test_is_monotone_matches_definition():
                 assert ad.enumerate_adapted(w, 'monotone') == mono
                 assert ad.enumerate_adapted(w, 'monotone_irr') == \
                     [pi for pi in mono if sp.is_irreducible(pi)]
+
+
+# The four-predicate filter over NC(n) and the triple-scan hasse as
+# first written, kept unchanged as the reference for the class filters
+# over the smallest family and for covers taken from up-sets.
+
+def frozen_enumerate_adapted(w, cls='all'):
+    """Adapted partitions of w, as a filter over the noncrossing
+    partitions of [n]. Classes: all, irr, monotone, monotone_irr."""
+    w = tuple(w)
+    n = len(w)
+    preds = {
+        'all': lambda p: ad.is_adapted(p, w),
+        'irr': lambda p: ad.is_adapted(p, w) and sp.is_irreducible(p),
+        'monotone': lambda p: ad.is_monotone(p, w),
+        'monotone_irr':
+            lambda p: ad.is_monotone(p, w) and sp.is_irreducible(p),
+    }
+    if cls not in preds:
+        raise ValueError(f'unknown class {cls!r}')
+    pred = preds[cls]
+    return [p for p in sp.noncrossing_partitions(n) if pred(p)]
+
+
+def frozen_hasse(vertices, leq):
+    """Cover relations of a finite poset given by a comparison predicate."""
+    edges = []
+    for a in vertices:
+        for b in vertices:
+            if a == b or not leq(a, b):
+                continue
+            if any(c not in (a, b) and leq(a, c) and leq(c, b)
+                   for c in vertices):
+                continue
+            edges.append((a, b))
+    return edges
+
+
+def test_enumerate_adapted_matches_frozen_filter():
+    for n in range(1, 8):
+        for w in iproduct((1, 2, 3), repeat=n):
+            if not wd.is_motzkin(w):
+                continue
+            for cls in ('all', 'irr', 'monotone', 'monotone_irr'):
+                assert ad.enumerate_adapted(w, cls) == \
+                    frozen_enumerate_adapted(w, cls), (w, cls)
+    with pytest.raises(ValueError, match='unknown class'):
+        ad.enumerate_adapted((1, 1), 'crossing')
+
+
+def test_hasse_matches_frozen():
+    for n in range(1, 7):
+        for w in wd.enumerate_words(n):
+            verts = ad.enumerate_adapted(w, 'all')
+            assert ad.hasse(verts, sp.refines) == \
+                frozen_hasse(verts, sp.refines), w
+    for n in range(1, 5):
+        for irr in (False, True):
+            verts = ad.poset_ncn(n, irr)
+            assert ad.hasse(verts, ad.poset_leq) == \
+                frozen_hasse(verts, ad.poset_leq), (n, irr)

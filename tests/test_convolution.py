@@ -43,7 +43,7 @@ def test_distribution_validation():
     with pytest.raises(ValueError):
         mu.moment(('x',) * 7)
     assert mu.moment(()) == 1
-    assert mu.moment('xx') == 1
+    assert mu.moment('xx') == mu.moment(['x', 'x']) == 1
 
 
 def test_distribution_json_round_trip():

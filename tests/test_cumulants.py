@@ -1,5 +1,7 @@
 import pytest
 from fractions import Fraction
+from functools import lru_cache
+from itertools import product as iproduct
 from hypothesis import given, settings, strategies as st
 
 from ncmotzkin import adapted as ad
@@ -243,3 +245,33 @@ def test_integral_coefficients_are_int():
     assert p.terms and all(type(c) is int for c in p.terms.values())
     assert_exact_types(Poly.const(Fraction(4, 2)))
     assert_exact_types(Poly.const(Fraction(1, 2)) * 2)
+
+
+# Boolean cumulants as the sum over Int(n) first written, kept unchanged
+# as the reference for the first-block recurrence.
+
+@lru_cache(maxsize=None)
+def frozen_moment_to_boolean(label, args):
+    """Boolean cumulant beta(args) expanded in moment symbols."""
+    n = len(args)
+    out = m_sym(label, args)
+    for pi in sp.interval_partitions(n):
+        if len(pi) == 1:
+            continue
+        out = out - cm._prod(frozen_moment_to_boolean(
+            label, cm._restrict(args, b)) for b in pi)
+    return out
+
+
+def test_moment_to_boolean_matches_interval_sum():
+    cases = [('x',) * n for n in range(1, 9)]
+    cases += [tuple('abcdefgh'[:n]) for n in range(1, 9)]
+    cases += [w for n in range(1, 9) for w in iproduct(('x', UNIT), repeat=n)]
+    cases += [w for n in range(1, 6)
+              for w in iproduct(('a', 'b', UNIT), repeat=n)]
+    for label in (0, 2):
+        for args in cases:
+            assert cm.moment_to_boolean(label, args) == \
+                frozen_moment_to_boolean(label, args), (label, args)
+    with pytest.raises(ValueError):
+        cm.moment_to_boolean(0, ())

@@ -136,3 +136,30 @@ def test_join_matches_brute_force():
                 least = [v for v in uppers
                          if all(coarsens(u, v) for u in uppers)]
                 assert [sp.join_nc(pi, rho)] == least, (pi, rho)
+
+
+def test_generated_families_match_filters():
+    for n in range(1, 10):
+        every = sp.enumerate_all(n)
+        nc = sorted(p for p in every if not crosses(p))
+        irr = [p for p in nc if any(1 in b and n in b for b in p)]
+        interval = sorted(p for p in every if sp.is_interval(p))
+        assert sp.noncrossing_partitions(n) == nc
+        assert sp.irreducible_partitions(n) == irr
+        assert sp.interval_partitions(n) == interval
+        for cls, want in (('all', sorted(every)), ('nc', nc),
+                          ('nc_irr', irr), ('interval', interval)):
+            assert sp.enumerate_partitions(n, cls) == want
+
+
+def test_families_return_fresh_lists():
+    families = (sp.noncrossing_partitions, sp.irreducible_partitions,
+                sp.interval_partitions)
+    for family in families:
+        family(3).append('junk')
+        assert 'junk' not in family(3)
+        for n in (0, -1):
+            with pytest.raises(ValueError, match='n must be >= 1'):
+                family(n)
+    with pytest.raises(ValueError, match='unknown class'):
+        sp.enumerate_partitions(3, 'crossing')

@@ -6,7 +6,7 @@ import pytest
 from ncmotzkin import acceptance as ac
 from ncmotzkin import adapted as ad
 from ncmotzkin import replicas as rp
-from ncmotzkin.cumulants import m_sym
+from ncmotzkin.cumulants import ONE, m_sym
 
 
 def rep(var, label, j):
@@ -176,6 +176,13 @@ def test_equality_with_foreign_types():
     assert not rp.REP_ONE == 0
     assert rp.B_ZERO != 0
     assert not rp.B_ZERO == 'x'
+    sums = [lambda: ONE + 1, lambda: 1 + ONE, lambda: ONE - 1,
+            lambda: ONE + rp.REP_ONE, lambda: rp.REP_ONE + 0,
+            lambda: rp.REP_ONE - ONE, lambda: rp.B_ZERO - 0,
+            lambda: rp.B_ZERO + rp.REP_ONE]
+    for op in sums:
+        with pytest.raises(TypeError):
+            op()
 
 
 # The expectation and B_w as first written, kept unchanged as the

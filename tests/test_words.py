@@ -25,6 +25,10 @@ def test_enumeration_is_sorted_and_valid():
 
 def test_height_and_shift():
     assert wd.height((2, 3, 2)) == 2
+    assert wd.enumerate_words(1) == [(1,)]
+    assert wd.enumerate_words(1, height=3) == [(3,)]
+    assert wd.enumerate_words(3, height=2) == \
+        [(2, 2, 2), (2, 3, 2)]
     assert wd.shift_to_reduced((2, 3, 2)) == (1, 2, 1)
     with pytest.raises(ValueError):
         wd.height((1, 2, 2))
