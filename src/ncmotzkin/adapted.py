@@ -7,7 +7,8 @@ splits Int(w), labeled variants, the depth-word bijection eta and the
 poset over all pairs (partition, word).
 """
 
-from itertools import combinations
+from functools import lru_cache
+from itertools import combinations, product
 
 from . import partitions as sp
 from . import words as wd
@@ -82,16 +83,60 @@ def is_monotone(pi, w):
 
 
 def enumerate_adapted(w, cls='all'):
-    """Adapted partitions of w, as a filter over the irreducible
-    noncrossing partitions of [n] for the classes irr and monotone_irr
-    and over all of them for all and monotone."""
+    """Sorted partitions of w of a class (all, irr, monotone,
+    monotone_irr), generated block by block.
+
+    The blocks under one outer block (or at top level) that lie in one
+    of its gaps form a sibling run on an interval a..b: a block starts
+    at a, grows by letters that keep its subword Motzkin, with each gap
+    it leaves filled by a run one level deeper, and is followed by the
+    run on the rest of a..b. Every condition of adaptedness is checked
+    on the block that it concerns, so nothing is built and then
+    rejected. Monotone blocks are constant at the height their depth
+    fixes; the irr classes close the top-level block only at n.
+    """
     w = tuple(w)
     if cls not in ('all', 'irr', 'monotone', 'monotone_irr'):
         raise ValueError(f'unknown class {cls!r}')
-    family = (sp.irreducible_partitions if cls.endswith('irr')
-              else sp.noncrossing_partitions)
-    test = is_monotone if cls.startswith('monotone') else is_adapted
-    return [p for p in family(len(w)) if test(p, w)]
+    n = sp._check_size(len(w))
+    monotone, irr = cls.startswith('monotone'), cls.endswith('irr')
+    base = min(w)
+
+    @lru_cache(maxsize=None)
+    def run(a, b, h, depth, bridge):
+        """Partitions of a..b into sibling blocks at depth `depth`, all of
+        letter h, lying in a gap whose bridge height is `bridge`."""
+        if (w[a - 1] != h or depth > h or h < bridge
+                or monotone and depth != h - base + 1):
+            return ()
+        out = []
+
+        def grow(block, child, fills):
+            # child: the letter of the inner blocks, fixed by the first
+            # gap; fills: for each gap so far, the runs that fill it
+            last = block[-1]
+            x = w[last - 1]
+            if x == h and (last == b or not (irr and depth == 1)):
+                rests = run(last + 1, b, h, depth, bridge) if last < b \
+                    else ((),)
+                out.extend((block,) + sum(inner, ()) + rest
+                           for inner in product(*fills) for rest in rests)
+            for q in range(last + 1, b + 1):
+                y = w[q - 1]
+                if y < h or abs(y - x) > 1 or monotone and y != h:
+                    continue
+                if q == last + 1:
+                    grow(block + (q,), child, fills)
+                    continue
+                c = w[last] if child is None else child
+                gap = run(last + 1, q - 1, c, depth + 1, max(x, y))
+                if gap:
+                    grow(block + (q,), c, fills + (gap,))
+
+        grow((a,), None, ())
+        return tuple(out)
+
+    return sorted(tuple(sorted(p)) for p in run(1, n, w[0], 1, 0))
 
 
 def zero_hat(w):
@@ -210,7 +255,8 @@ def labeled_classes(w, labels):
         raise ValueError('labeling length mismatch')
     nc = [p for p in enumerate_adapted(w, 'all')
           if block_labels_constant(p, ell)]
-    mono = [p for p in nc if is_monotone(p, w) and chains_alternate(p, ell)]
+    mono = [p for p in enumerate_adapted(w, 'monotone')
+            if block_labels_constant(p, ell) and chains_alternate(p, ell)]
     mono_irr = [p for p in mono if sp.is_irreducible(p)]
     return {'nc': nc, 'monotone': mono, 'monotone_irr': mono_irr}
 

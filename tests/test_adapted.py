@@ -1,4 +1,5 @@
 from itertools import product as iproduct
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -102,6 +103,11 @@ def test_eta_bijection():
         total = sum(len(ad.enumerate_adapted(w, 'monotone_irr'))
                     for w in wd.enumerate_words(n))
         assert len(seen) == total == len(sp.irreducible_partitions(n))
+    # the Catalan count, independent of both partition enumerators
+    for n in range(1, 11):
+        total = sum(len(ad.enumerate_adapted(w, 'monotone_irr'))
+                    for w in wd.enumerate_words(n))
+        assert total == comb(2 * n - 2, n - 1) // n
 
 
 def test_labeled_classes():
@@ -149,9 +155,10 @@ def test_is_monotone_matches_definition():
                     [pi for pi in mono if sp.is_irreducible(pi)]
 
 
-# The four-predicate filter over NC(n) and the triple-scan hasse as
-# first written, kept unchanged as the reference for the class filters
-# over the smallest family and for covers taken from up-sets.
+# The four-predicate filter over NC(n), the triple-scan hasse and the
+# labeled classes as first written, kept unchanged as the reference for
+# the generated adapted classes, for covers taken from up-sets and for
+# the monotone labeled class taken from the monotone class.
 
 def frozen_enumerate_adapted(w, cls='all'):
     """Adapted partitions of w, as a filter over the noncrossing
@@ -185,16 +192,45 @@ def frozen_hasse(vertices, leq):
     return edges
 
 
-def test_enumerate_adapted_matches_frozen_filter():
-    for n in range(1, 8):
+def frozen_labeled_classes(w, labels):
+    """NC(w, l), M(w, l) and M_irr(w, l), with M(w, l) filtered from
+    NC(w, l) by is_monotone."""
+    w = tuple(w)
+    ell = tuple(labels)
+    if len(ell) != len(w):
+        raise ValueError('labeling length mismatch')
+    nc = [p for p in ad.enumerate_adapted(w, 'all')
+          if ad.block_labels_constant(p, ell)]
+    mono = [p for p in nc
+            if ad.is_monotone(p, w) and ad.chains_alternate(p, ell)]
+    mono_irr = [p for p in mono if sp.is_irreducible(p)]
+    return {'nc': nc, 'monotone': mono, 'monotone_irr': mono_irr}
+
+
+def test_labeled_classes_match_frozen():
+    for n in range(1, 6):
         for w in iproduct((1, 2, 3), repeat=n):
             if not wd.is_motzkin(w):
                 continue
-            for cls in ('all', 'irr', 'monotone', 'monotone_irr'):
-                assert ad.enumerate_adapted(w, cls) == \
-                    frozen_enumerate_adapted(w, cls), (w, cls)
+            for ell in iproduct((1, 2), repeat=n):
+                assert ad.labeled_classes(w, ell) == \
+                    frozen_labeled_classes(w, ell), (w, ell)
+
+
+def test_enumerate_adapted_matches_frozen_filter():
+    # every word over 1..3 to n=6 (enumerate_adapted does not validate
+    # w), the Motzkin ones at n=7 and every reduced word to n=8
+    cases = [w for n in range(1, 8) for w in iproduct((1, 2, 3), repeat=n)
+             if n < 7 or wd.is_motzkin(w)]
+    cases += wd.enumerate_words(8)
+    for w in cases:
+        for cls in ('all', 'irr', 'monotone', 'monotone_irr'):
+            assert ad.enumerate_adapted(w, cls) == \
+                frozen_enumerate_adapted(w, cls), (w, cls)
     with pytest.raises(ValueError, match='unknown class'):
         ad.enumerate_adapted((1, 1), 'crossing')
+    with pytest.raises(ValueError, match='n must be >= 1'):
+        ad.enumerate_adapted(())
 
 
 def test_hasse_matches_frozen():

@@ -69,6 +69,23 @@ def test_adapted_dot(capsys, tmp_path):
     assert '"{{1,4},{2,3}}" -> "{{1,2,3,4}}";' in text
 
 
+def test_dot_vertex_limit(capsys, tmp_path, monkeypatch):
+    path = tmp_path / 'out.dot'
+    code, out, err = run(capsys, 'poset', '--n', '8', '--dot', str(path))
+    assert code == 1 and out == '' and not path.exists()
+    assert err == 'error: --dot draws at most 1500 vertices, ' \
+        'this poset has 6012\n'
+    monkeypatch.setattr(cli, 'HASSE_MAX_VERTICES', 10)
+    code, out, err = run(capsys, 'adapted', '--word', '12221', '--dot',
+                         str(path), '--count')
+    assert code == 1 and out == '' and not path.exists()
+    assert err == 'error: --dot draws at most 10 vertices, ' \
+        'this poset has 13\n'
+    code, out, _ = run(capsys, 'adapted', '--word', '12221', '--monotone',
+                       '--dot', str(path), '--count')
+    assert code == 0 and out == '4\n' and path.exists()
+
+
 def test_zero_hat(capsys):
     code, out, _ = run(capsys, 'zero-hat', '--word', '11221')
     assert code == 0
