@@ -188,6 +188,8 @@ def cmd_replicas_moment(args):
     w = wd.parse_word(args.word)
     labels = wd.parse_word(args.labels)
     variables = args.vars.split(',')
+    if not all(variables):
+        raise ValueError('variable names must be nonempty')
     if not (len(w) == len(labels) == len(variables)):
         raise ValueError('word, labels and vars must have equal length')
     if any(l not in (1, 2) for l in labels):

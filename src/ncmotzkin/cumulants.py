@@ -16,6 +16,7 @@ from . import adapted as ad
 from . import words as wd
 
 UNIT = '1'
+_UNIT_TERMS = {(): 1}
 
 
 class Poly:
@@ -61,9 +62,16 @@ class Poly:
 
     def __mul__(self, other):
         if isinstance(other, Poly):
+            # a unit or zero operand decides the product; the operand is
+            # shared, which is safe since a Poly is never mutated
+            a, b = self.terms, other.terms
+            if not a or b == _UNIT_TERMS:
+                return self
+            if not b or a == _UNIT_TERMS:
+                return other
             out = {}
-            for m1, c1 in self.terms.items():
-                for m2, c2 in other.terms.items():
+            for m1, c1 in a.items():
+                for m2, c2 in b.items():
                     mono = tuple(sorted(m1 + m2)) if m1 and m2 else m1 or m2
                     out[mono] = out.get(mono, 0) + c1 * c2
             return _poly({m: _num(c) for m, c in out.items() if c})

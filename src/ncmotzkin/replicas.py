@@ -53,7 +53,11 @@ def _site(string, j):
     return sites[j - 1] if j <= len(sites) else _tail_site(tail)
 
 
+@lru_cache(maxsize=4096)
 def _mul_string(s, t):
+    """Product of two canonical strings, site by site; None when a site
+    is annihilated. Cached: the strings are hashable and few distinct
+    pairs occur (2,867 over all of criterion 8)."""
     n = max(len(s[0]), len(t[0]))
     out = []
     for j in range(1, n + 1):
@@ -181,14 +185,19 @@ def e_label(i, n):
     return Rep({(trivial, proj) if i == 1 else (proj, trivial): 1})
 
 
+@lru_cache(maxsize=64)
 def e_proj(n):
+    """The projection e_n = e_{1,n} e_{2,n}, e_0 = 0. Cached, so every
+    caller shares one Rep; Rep is never mutated."""
     if n == 0:
         return REP_ZERO
     return e_label(1, n) * e_label(2, n)
 
 
+@lru_cache(maxsize=64)
 def p_proj(n):
-    """Orthogonal projection of color n: p_n = e_n - e_{n-1}."""
+    """Orthogonal projection of color n: p_n = e_n - e_{n-1}. Cached
+    like e_proj."""
     return e_proj(n) - e_proj(n - 1)
 
 

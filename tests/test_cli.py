@@ -146,6 +146,11 @@ def test_replicas_moment(capsys):
                        '--labels', '1', '--vars', '1')
     assert code == 0
     assert out == '1\n'
+    code, out, err = run(capsys, 'replicas', 'moment', '--word', '111',
+                         '--labels', '1,1,1', '--vars', 'a,,c')
+    assert code == 1
+    assert out == ''
+    assert 'nonempty' in err
 
 
 def test_replicas_moment_expectation_json(capsys):

@@ -225,19 +225,26 @@ def assert_exact_types(p):
         assert type(c) is (int if c.denominator == 1 else Fraction)
 
 
+# an operand as (Poly, reference dict): a random one, or the shared unit
+# or zero, which the product hands back instead of building a new Poly
+OPERANDS = st.one_of(
+    POLY_DICTS.map(lambda d: (Poly(d), {m: c for m, c in d.items() if c})),
+    st.sampled_from([(ONE, {(): 1}), (ZERO, {})]))
+
+
 @settings(max_examples=200, deadline=None)
-@given(POLY_DICTS, POLY_DICTS, COEFFS)
-def test_poly_matches_fraction_reference(a, b, s):
-    p, q = Poly(a), Poly(b)
-    a = {m: c for m, c in a.items() if c}
-    b = {m: c for m, c in b.items() if c}
+@given(OPERANDS, OPERANDS, COEFFS)
+def test_poly_matches_fraction_reference(pa, qb, s):
+    (p, a), (q, b) = pa, qb
     cases = [(p + q, reference_sum(a, b)),
              (p - q, reference_sum(a, b, -1)),
              (p * q, reference_product(a, b)),
-             (s * p, {m: s * c for m, c in a.items() if s * c})]
+             (s * p, {m: s * c for m, c in a.items() if s * c}),
+             (p * ONE, a), (ONE * p, a), (p * ZERO, {}), (ZERO * p, {})]
     for got, want in cases:
         assert got.terms == want
         assert_exact_types(got)
+    assert ONE.terms == {(): 1} and ZERO.terms == {}
 
 
 def test_integral_coefficients_are_int():

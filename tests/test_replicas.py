@@ -252,3 +252,71 @@ def test_expectation_matches_uncached():
                     x = rp.rep_product(args[:i] + [rp.p_proj(j)] + args[i:])
                     assert rp.expectation(x) == frozen_expectation(x), \
                         (w, ell, i, j)
+
+
+# The string product and the Rep product's pair loop as first written,
+# before the string product was cached, kept unchanged as the reference.
+
+def frozen_mul_string(s, t):
+    n = max(len(s[0]), len(t[0]))
+    out = []
+    for j in range(1, n + 1):
+        site = rp._simp_site(rp._site(s, j) + rp._site(t, j))
+        if site is None:
+            return None
+        out.append(site)
+    return rp._canon_string(out, s[1] | t[1])
+
+
+def frozen_rep_mul(x, y):
+    out = {}
+    for (a1, a2), c in x.terms.items():
+        for (b1, b2), d in y.terms.items():
+            s1 = frozen_mul_string(a1, b1)
+            if s1 is None:
+                continue
+            s2 = frozen_mul_string(a2, b2)
+            if s2 is None:
+                continue
+            key = (s1, s2)
+            cd = c * d
+            out[key] = out[key] + cd if key in out else cd
+    return rp._rep({k: c for k, c in out.items() if c.terms})
+
+
+def test_rep_product_matches_uncached():
+    elements = [rep('a', label, j) for j in (1, 2, 3) for label in (1, 2)]
+    for j in (1, 2, 3):
+        elements += [rp.p_proj(j), rp.e_proj(j), rp.REP_ONE - rp.p_proj(j)]
+    elements += [rp.REP_ONE, rp.REP_ZERO]
+    for x, y in iproduct(elements, repeat=2):
+        assert x * y == frozen_rep_mul(x, y)
+    words = 0
+    for n in range(1, 5):
+        for w in iproduct((1, 2, 3), repeat=n):
+            for ell in iproduct((1, 2), repeat=n):
+                args = ac._replicas(w, ell, 'x')
+                want = rp.REP_ONE
+                for a in args:
+                    want = frozen_rep_mul(want, a)
+                assert rp.rep_product(args) == want, (w, ell)
+                words += 1
+    assert words == 1554
+
+
+def test_cached_projections_stay_unchanged():
+    def fresh_e(n):
+        return rp.e_label(1, n) * rp.e_label(2, n) if n else rp.REP_ZERO
+
+    x = rp.REP_ONE
+    for j in (1, 2, 3):
+        a = rep('a', 1 + j % 2, j)
+        y = rp.p_proj(j) + rp.e_proj(j) * a
+        x = (x + rp.p_proj(j)) * y - (rp.e_proj(j + 1) - rp.p_proj(j)) * x
+        rp.expectation(x * rp.p_proj(j))
+        rp.B_w_rep((j, j), [rp.p_proj(j), a * rp.e_proj(j)])
+        rp.expectation(rp.p_proj(j) * a).embed()
+    for j in range(1, 5):
+        assert rp.p_proj(j) is rp.p_proj(j)
+        assert rp.e_proj(j) == fresh_e(j)
+        assert rp.p_proj(j) == fresh_e(j) - fresh_e(j - 1)
