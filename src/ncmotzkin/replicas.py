@@ -304,15 +304,21 @@ class BElement:
     def __mul__(self, other):
         if not isinstance(other, BElement):
             return _belement(_scaled(self.comp, other))
-        c0 = self.comp.get(0, ZERO)
-        d0 = other.comp.get(0, ZERO)
-        out = {0: c0 * d0}
-        for j in set(self.comp) | set(other.comp):
-            if j == 0:
-                continue
-            cj = self.comp.get(j, ZERO)
-            dj = other.comp.get(j, ZERO)
-            out[j] = c0 * dj + cj * d0 + cj * dj
+        # (c0 + cj p_j)(d0 + dj p_j) has p_j part c0 dj + cj d0 + cj dj,
+        # which is (c0 + cj)(d0 + dj) - c0 d0: one product per color
+        a, b = self.comp, other.comp
+        c0 = a.get(0, ZERO)
+        d0 = b.get(0, ZERO)
+        c0d0 = c0 * d0
+        out = {0: c0d0}
+        for j, cj in a.items():
+            if j:
+                dj = b.get(j)
+                out[j] = (cj * d0 if dj is None
+                          else (c0 + cj) * (d0 + dj) - c0d0)
+        for j, dj in b.items():
+            if j and j not in a:
+                out[j] = c0 * dj
         return _belement({j: c for j, c in out.items() if c.terms})
 
     def __rmul__(self, other):
@@ -501,11 +507,17 @@ def K_w_rep(w, args):
     the irreducible adapted partitions of w."""
     w = tuple(w)
     out = B_w_rep(w, args)
-    for pi in ad.enumerate_adapted(w, 'irr'):
-        if len(pi) == 1:
-            continue
+    for pi in _split_irr(w):
         out = out - K_pi_rep(w, pi, args)
     return out
+
+
+@lru_cache(maxsize=256)
+def _split_irr(w):
+    """The irreducible adapted partitions of the tuple word w with more
+    than one block. Cached: K_w_rep asks for them at every level of its
+    recursion, and all of criterion 8 uses 38 distinct words."""
+    return tuple(pi for pi in ad.enumerate_adapted(w, 'irr') if len(pi) > 1)
 
 
 def K_pi_rep(w, pi, args):

@@ -190,6 +190,27 @@ def test_convolve(capsys, tmp_path):
     assert out == '6\n'
 
 
+def test_convolve_rejects_unknown_letters(capsys, tmp_path):
+    path = tmp_path / 'mu.json'
+    path.write_text(json.dumps(cv.univariate_distribution([0, 1]).to_json()))
+    for mono, bad in (('x,1', '1'), ('x,z', 'z')):
+        for extra in ((), ('--by-path',), ('--word', '11')):
+            code, out, err = run(capsys, 'convolve', '--mu1', str(path),
+                                 '--mu2', str(path), '--monomial', mono,
+                                 *extra)
+            assert code == 1
+            assert out == ''
+            assert f"unknown variable '{bad}'" in err
+    # '1' names the unit, so it is no variable name
+    path.write_text(json.dumps({'alphabet': ['1'], 'order': 2,
+                                'moments': {'1': '5', '11': '7'}}))
+    code, out, err = run(capsys, 'convolve', '--mu1', str(path), '--mu2',
+                         str(path), '--monomial', '1')
+    assert code == 1
+    assert out == ''
+    assert 'reserved' in err
+
+
 def test_convolve_missing_file(capsys, tmp_path):
     code, _, err = run(capsys, 'convolve', '--mu1', 'missing.json',
                        '--mu2', 'missing.json', '--monomial', 'x')

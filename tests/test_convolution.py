@@ -1,4 +1,5 @@
 import json
+import random
 from fractions import Fraction
 from itertools import product as iproduct
 
@@ -37,6 +38,11 @@ def test_distribution_validation():
         cv.Distribution(('x', 'x'), 1, {('x',): 1})
     with pytest.raises(ValueError):
         cv.Distribution(('x',), 2, {('x',): 0})
+    # '1' is the unit letter of the moment symbols
+    with pytest.raises(ValueError, match='reserved'):
+        cv.Distribution(('1',), 2, {('1',): 5, ('1', '1'): 7})
+    with pytest.raises(ValueError, match='reserved'):
+        cv.Distribution(('x', '1'), 0, {})
     mu = bernoulli()
     with pytest.raises(ValueError):
         mu.moment(('y',))
@@ -60,8 +66,9 @@ def test_distribution_json_round_trip():
 
 
 @settings(max_examples=50, deadline=None)
-@given(st.lists(st.text('ab1', min_size=1, max_size=3), min_size=1,
-                max_size=3, unique=True),
+@given(st.lists(st.text('ab1', min_size=1, max_size=3).filter(
+                    lambda v: v != cm.UNIT),
+                min_size=1, max_size=3, unique=True),
        st.integers(0, 3), st.data())
 def test_distribution_json_round_trip_names(alphabet, order, data):
     moments = {word: data.draw(st.fractions(max_denominator=10))
@@ -122,6 +129,8 @@ def test_three_routes_agree(w):
     r2 = cv.boxplus_w_sym(w, names, 'monotone')
     r3 = cv.boxplus_w_sym(w, names, 'nested')
     assert r1 == r2 == r3
+    # three separate builds, not one cached part under three routes
+    assert r1 is not r2 and r2 is not r3 and r1 is not r3
 
 
 def test_totals_match_oracles():
@@ -158,12 +167,100 @@ def test_boxplus_w_validates():
     nu = cv.univariate_distribution([1], 'y')
     with pytest.raises(ValueError):
         cv.boxplus_total(mu, nu, ('x',))
+    # every monomial letter must be in the alphabet; '1' never is
+    calls = [lambda m: cv.boxplus_total(mu, mu, m),
+             lambda m: cv.uplus_total(mu, mu, m),
+             lambda m: cv.delta(mu, mu, m),
+             lambda m: cv.decompose(mu, mu, m),
+             lambda m: cv.boxplus_w(mu, mu, m, (1, 1)),
+             lambda m: cv.free_product_moment(mu, mu, list(zip(m, (1, 2)))),
+             lambda m: cv.boolean_product_moment(mu, mu,
+                                                 list(zip(m, (1, 2))))]
+    for call in calls:
+        for mono, bad in ((('x', '1'), '1'), (('x', 'z'), 'z'),
+                          (('1', 'x'), '1')):
+            with pytest.raises(ValueError,
+                               match=f"unknown variable '{bad}'"):
+                call(mono)
 
 
 def test_evaluate_rejects_non_moment_symbols():
     mu = bernoulli()
     with pytest.raises(ValueError):
         cv.evaluate(beta_sym(1, ('x',)), mu, mu)
+    # words missing from the table fall back to Distribution.moment
+    with pytest.raises(ValueError, match="unknown variable 'y'"):
+        cv.evaluate(cm.m_sym(1, ('x', 'y')), mu, mu)
+    with pytest.raises(ValueError, match='exceeds order'):
+        cv.evaluate(cm.m_sym(2, ('x',) * 7), mu, mu)
+
+
+def seeded_pair(seed, alphabet=('x', 'y'), order=4):
+    rng = random.Random(seed)
+
+    def table():
+        return {word: Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+                for n in range(1, order + 1)
+                for word in iproduct(alphabet, repeat=n)}
+
+    return (cv.Distribution(alphabet, order, table()),
+            cv.Distribution(alphabet, order, table()))
+
+
+def frozen_evaluate(poly, mu1, mu2):
+    # evaluate as written before moments were looked up in the table
+    mus = {1: mu1, 2: mu2}
+    total = Fraction(0)
+    for mono, coeff in poly.terms.items():
+        val = Fraction(coeff)
+        for kind, label, args in mono:
+            if kind != 'm':
+                raise ValueError(f'cannot evaluate symbol kind {kind!r}')
+            val *= mus[label].moment(args)
+        total += val
+    return total
+
+
+def test_evaluate_matches_frozen():
+    third = cm.Poly.const(Fraction(1, 3))
+    for seed in (1, 2):
+        mu1, mu2 = seeded_pair(seed)
+        for n in range(1, 5):
+            for mono in iproduct('xy', repeat=n):
+                polys = [cv.boxplus_total_sym(mono),
+                         cv.boxplus_total_sym(mono) + third]
+                polys += [cv.boxplus_w_sym(w, mono)
+                          for w in wd.enumerate_words(n)]
+                for p in polys:
+                    got = cv.evaluate(p, mu1, mu2)
+                    assert got == frozen_evaluate(p, mu1, mu2), (mono, p)
+                    assert type(got) is Fraction
+
+
+def test_cached_parts_match_fresh_builds():
+    names = ('x', 'y', 'y', 'x')
+    mu1, mu2 = seeded_pair(3)
+    routes = ('replica', 'monotone', 'nested')
+    keys = [(w, names[:n], route) for n in range(1, 5)
+            for w in wd.enumerate_words(n) for route in routes]
+    fresh = {key: cv._w_part.__wrapped__(*key) for key in keys}
+    cached = {key: cv.boxplus_w_sym(*key) for key in keys}
+    for key in keys:
+        assert cached[key] == fresh[key], key
+        # the shared part as an operand of arithmetic
+        p = cached[key]
+        assert (p + p) * p - p * (p + p) == ZERO
+        assert cv.boxplus_w_sym(list(key[0]), list(key[1]), key[2]) is p
+    for n in range(1, 5):
+        for route in routes:
+            cv.decompose(mu1, mu2, names[:n], route)
+            cv.boxplus_total_sym(names[:n], route)
+            cv.delta_sym(names[:n])
+    for key in keys:
+        assert cv.boxplus_w_sym(*key) == fresh[key], key
+    # the route is part of the key: a bad one is not served from the cache
+    with pytest.raises(ValueError, match='unknown route'):
+        cv.boxplus_w_sym((1, 1), ('x', 'y'), 'bogus')
 
 
 def test_free_product_is_linear_functional():

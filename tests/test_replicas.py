@@ -6,7 +6,7 @@ import pytest
 from ncmotzkin import acceptance as ac
 from ncmotzkin import adapted as ad
 from ncmotzkin import replicas as rp
-from ncmotzkin.cumulants import ONE, m_sym
+from ncmotzkin.cumulants import ONE, ZERO, m_sym
 
 
 def rep(var, label, j):
@@ -320,3 +320,75 @@ def test_cached_projections_stay_unchanged():
         assert rp.p_proj(j) is rp.p_proj(j)
         assert rp.e_proj(j) == fresh_e(j)
         assert rp.p_proj(j) == fresh_e(j) - fresh_e(j - 1)
+
+
+# K_w and the BElement product as written before the irreducible
+# partitions of a word were cached and before the product took one Poly
+# product per color, kept unchanged as the reference.
+
+def frozen_K_w_rep(w, args):
+    w = tuple(w)
+    out = rp.B_w_rep(w, args)
+    for pi in ad.enumerate_adapted(w, 'irr'):
+        if len(pi) == 1:
+            continue
+        out = out - rp._nested_rep(w, pi, args, frozen_K_w_rep)
+    return out
+
+
+def frozen_belement_mul(x, y):
+    c0 = x.comp.get(0, ZERO)
+    d0 = y.comp.get(0, ZERO)
+    out = {0: c0 * d0}
+    for j in set(x.comp) | set(y.comp):
+        if j == 0:
+            continue
+        cj = x.comp.get(j, ZERO)
+        dj = y.comp.get(j, ZERO)
+        out[j] = c0 * dj + cj * d0 + cj * dj
+    return rp._belement({j: c for j, c in out.items() if c.terms})
+
+
+def test_K_w_rep_matches_uncached():
+    pairs = 0
+    for n in range(1, 6):
+        for w in ac._am_words(n):
+            for ell in iproduct((1, 2), repeat=n):
+                args = ac._replicas(w, ell, 'x')
+                assert rp.K_w_rep(w, args) == frozen_K_w_rep(w, args), \
+                    (w, ell)
+                pairs += 1
+    assert pairs == 778
+    # the 32 cases at n=6 where K_w_rep and K_closed_rep disagree
+    for w, labelings in N6_DISAGREEMENTS.items():
+        for ell in labelings.split():
+            ell = tuple(map(int, ell))
+            args = ac._replicas(w, ell)
+            assert rp.K_w_rep(w, args) == frozen_K_w_rep(w, args), (w, ell)
+
+
+N6_DISAGREEMENTS = {
+    (1, 2, 2, 3, 2, 1): '111111 111211 112121 112221 121111 121211 122121 '
+                        '122221 211112 211212 212122 212222 221112 221212 '
+                        '222122 222222',
+    (1, 2, 3, 2, 2, 1): '111111 111121 112111 112121 121211 121221 122211 '
+                        '122221 211112 211122 212112 212122 221212 221222 '
+                        '222212 222222',
+}
+
+
+def test_belement_product_matches_three_products():
+    a, b = m_sym(1, ('a',)), m_sym(2, ('b',))
+    elements = [rp.B_ZERO, rp.BElement({0: 1}), rp.BElement({0: a}),
+                rp.BElement({1: a}), rp.BElement({2: b - ONE}),
+                rp.BElement({0: b, 1: a}), rp.BElement({0: a, 2: a * b}),
+                rp.BElement({1: 3, 3: b})]
+    for n in range(1, 4):
+        for w in iproduct((1, 2, 3), repeat=n):
+            for ell in iproduct((1, 2), repeat=n):
+                elements.append(rp.expectation(
+                    rp.rep_product(ac._replicas(w, ell, 'x'))))
+    elements = [x for i, x in enumerate(elements) if x not in elements[:i]]
+    assert len(elements) > 50
+    for x, y in iproduct(elements, repeat=2):
+        assert x * y == frozen_belement_mul(x, y), (x, y)
