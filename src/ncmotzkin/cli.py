@@ -24,6 +24,12 @@ from .cumulants import format_belement, format_poly
 # about 9 s on a 2-core x86-64 machine, 2,048 (adapted --word 1^12)
 # take 23 s, and poset --n 8 has 6,012.
 HASSE_MAX_VERTICES = 1500
+# Longest monomial `convolve` takes, per route: the last length whose
+# univariate boxplus_total, from a fresh process, finishes within about
+# 20 s on a 2-core x86-64 machine (Python 3.11); each length costs 5 to
+# 9 times the one before. monotone: n=8 1.5 s, n=9 7.0 s, n=10 36 s;
+# replica: n=8 3.1 s, n=9 19 s; nested: n=7 3.8 s, n=8 33 s.
+CONVOLVE_MAX_LENGTH = {'monotone': 9, 'replica': 9, 'nested': 7}
 
 
 def _word_json(w):
@@ -222,9 +228,14 @@ def _load_distribution(path):
 
 
 def cmd_convolve(args):
+    monomial = tuple(args.monomial.split(','))
+    limit = CONVOLVE_MAX_LENGTH[args.route]
+    if len(monomial) > limit:
+        raise ValueError(f'the {args.route} route takes monomials of '
+                         f'length at most {limit}, this one has '
+                         f'{len(monomial)}')
     mu1 = _load_distribution(args.mu1)
     mu2 = _load_distribution(args.mu2)
-    monomial = tuple(args.monomial.split(','))
     if args.word:
         w = wd.parse_word(args.word)
         val = cv.boxplus_w(mu1, mu2, monomial, w, args.route)

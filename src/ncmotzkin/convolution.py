@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .cumulants import (UNIT, ZERO, ONE, moment_to_free, moment_to_boolean,
-                        beta_sym, _restrict, _prod, _sum)
+                        beta_sym, _poly, _restrict, _prod, _sum)
 from . import adapted as ad
 from . import partitions as sp
 from . import replicas as rp
@@ -115,7 +115,10 @@ def evaluate(poly, mu1, mu2):
         for kind, label, args in mono:
             if kind != 'm':
                 raise ValueError(f'cannot evaluate symbol kind {kind!r}')
-            mu = mus[label]
+            mu = mus.get(label)
+            if mu is None:
+                raise ValueError(f'cannot evaluate a moment symbol with '
+                                 f'label {label!r}: labels are 1 and 2')
             moment = mu.moments.get(args)
             val *= mu.moment(args) if moment is None else moment
         total += val
@@ -193,42 +196,102 @@ def boxplus_w_sym(w, variables, route='replica'):
     zeta(K_pi[...]) over adapted partitions and block-constant
     labelings.
 
-    The part depends on w, the variable names and the route only, never
-    on a distribution, so it is built once per (w, variables, route) and
-    shared; a Poly is never mutated."""
-    return _w_part(tuple(w), tuple(str(v) for v in variables), route)
+    The part depends on w, the route and the pattern in which the
+    variable names repeat, never on a distribution: it is built once per
+    (w, pattern, route), renamed to the names, and shared per literal
+    key; a Poly is never mutated."""
+    return _named(_w_part, tuple(w), tuple(str(v) for v in variables),
+                  route)
+
+
+def _pattern(variables):
+    """The names' first-occurrence pattern ('y', 'x', 'y') ->
+    ('#1', '#2', '#1'), the unit name kept literal, and the map from the
+    pattern's names back to the given ones."""
+    back = {}
+    canon = {}
+    for v in variables:
+        if v != UNIT and v not in canon:
+            canon[v] = f'#{len(canon) + 1}'
+            back[canon[v]] = v
+    return tuple(canon.get(v, v) for v in variables), back
+
+
+def _rename(p, back):
+    """The polynomial with each variable name renamed by the bijection
+    back; the monomials are re-sorted, and none merge."""
+    syms = {}
+    terms = {}
+    for mono, c in p.terms.items():
+        out = []
+        for s in mono:
+            r = syms.get(s)
+            if r is None:
+                kind, label, args = s
+                r = syms[s] = (kind, label,
+                               tuple(back.get(a, a) for a in args))
+            out.append(r)
+        out.sort()
+        terms[tuple(out)] = c
+    return _poly(terms)
+
+
+@lru_cache(maxsize=1024)
+def _named(build, key, variables, route):
+    """build(key, pattern, route) of the names' pattern, renamed to the
+    names. Bounded: a convolve benchmark pass asks for 118 part keys and
+    23 totals, criterion 10 for 59 keys in all."""
+    pattern, back = _pattern(variables)
+    out = build(key, pattern, route)
+    return out if pattern == variables else _rename(out, back)
 
 
 @lru_cache(maxsize=512)
-def _w_part(w, variables, route):
-    """boxplus_w_sym on a tuple word and a tuple of str names. Bounded:
-    a convolve benchmark pass uses 118 keys, criterion 10 uses 73."""
+def _w_part(w, pattern, route):
+    """boxplus_w_sym on a tuple word and a tuple of str names, which
+    boxplus_w_sym gives as their first-occurrence pattern. Bounded: a
+    convolve benchmark pass uses 86 keys, criterion 10 uses 73."""
     n = len(w)
-    if len(variables) != n:
+    if len(pattern) != n:
         raise ValueError('word/monomial length mismatch')
     if n == 0:
         return ONE
     if route == 'replica':
         out = ZERO
         for ell in _labelings(n):
-            x = rp.replica_word(variables, ell, w)
+            x = rp.replica_word(pattern, ell, w)
             out = out + rp.zeta_E(x)
         return out
     if route == 'monotone':
         out = ZERO
         for pi in ad.enumerate_adapted(w, 'monotone'):
             for ell in ad.labelings_of(pi)['L0']:
-                out = out + rp.beta_hat_pi(pi, ell, variables)
+                out = out + rp.beta_hat_pi(pi, ell, pattern)
         return out
     if route == 'nested':
+        # one memo for the whole part: its atoms are the 2n replicas
+        # (position, label), shared by every partition and labeling
+        nested_K = rp.Forests({
+            (p, l): (j, rp.replica(v, l, j))
+            for p, (v, j) in enumerate(zip(pattern, w), start=1)
+            for l in (1, 2)})
         out = ZERO
         for pi in ad.enumerate_adapted(w, 'all'):
+            plan = rp.nesting_plan(pi)
             for ell in ad.labelings_of(pi)['L']:
-                args = [rp.replica(v, l, j)
-                        for v, l, j in zip(variables, ell, w)]
-                out = out + rp.K_pi_rep(w, pi, args).zeta()
+                forest = tuple(((p, l), ()) for p, l in enumerate(ell, 1))
+                out = out + nested_K.nested(plan, forest).zeta()
         return out
     raise ValueError(f'unknown route {route!r}')
+
+
+@lru_cache(maxsize=128)
+def _total(which, pattern, route):
+    """The sum of the parts of a pattern over the reduced words of its
+    length: all of them, or the non-constant ones for which='delta'."""
+    n = len(pattern)
+    return _sum(_w_part(w, pattern, route) for w in wd.enumerate_words(n)
+                if which == 'all' or w != (1,) * n)
 
 
 def boxplus_w_beta_terms(w, variables):
@@ -259,12 +322,10 @@ def boxplus_w(mu1, mu2, monomial, w, route='monotone'):
 
 
 def boxplus_total_sym(variables, route='monotone'):
-    variables = tuple(variables)
-    n = len(variables)
-    if n == 0:
+    variables = tuple(str(v) for v in variables)
+    if not variables:
         return ONE
-    return _sum(boxplus_w_sym(w, variables, route)
-                for w in wd.enumerate_words(n))
+    return _named(_total, 'all', variables, route)
 
 
 def boxplus_total(mu1, mu2, monomial, route='monotone'):
@@ -287,12 +348,10 @@ def uplus_total(mu1, mu2, monomial):
 def delta_sym(variables):
     """Difference between the free and Boolean convolution moments: the
     boxplus_w parts of non-constant words."""
-    variables = tuple(variables)
-    n = len(variables)
-    if n == 0:
+    variables = tuple(str(v) for v in variables)
+    if not variables:
         return ZERO
-    return _sum(boxplus_w_sym(w, variables, 'monotone')
-                for w in wd.enumerate_words(n) if w != (1,) * n)
+    return _named(_total, 'delta', variables, 'monotone')
 
 
 def delta(mu1, mu2, monomial):

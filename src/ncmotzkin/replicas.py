@@ -476,62 +476,140 @@ def B_w_rep(w, args):
     return B[len(w)]
 
 
-def _nested_rep(w, pi, args, leaf):
-    """Evaluate the nested cumulant of a partition adapted to w, with the
-    given leaf evaluator on (word, args): each inner block's value
-    multiplies the argument of its outer block just before the inner
-    block, leftmost first."""
-    w = tuple(w)
-    children = sp.siblings(sp.nesting(sp.normalize(pi)))
+class Forests:
+    """Nested Boolean or Motzkin cumulants of arguments built from a
+    fixed set of atoms, memoized for the life of the object.
 
-    def value(b):
-        vals = [args[p - 1] for p in b]
+    `atoms` maps an atom key to its (letter, Rep). A forest is a tuple of
+    nodes and a node is (atom key, child forests): its argument is the
+    atom times the embedded cumulant of each child forest in order, and
+    the word of a forest is the letters of its atoms. The memo is keyed
+    on these nested tuples of atom keys, never on Rep values, so two
+    evaluations share a subforest exactly when they build the same
+    argument from the same atoms. With motzkin=True a forest's value is
+    K_w by recursion over the irreducible adapted partitions of its
+    word; otherwise it is B_w."""
+
+    def __init__(self, atoms, motzkin=True):
+        self.atoms = atoms
+        self.motzkin = motzkin
+        self._args = {}
+        self._values = {}
+
+    def arg(self, node):
+        atom, kids = node
+        if not kids:
+            return self.atoms[atom][1]
+        x = self._args.get(node)
+        if x is None:
+            x = self.atoms[atom][1]
+            for f in kids:
+                x = x * self.value(f).embed()
+            self._args[node] = x
+        return x
+
+    def value(self, forest):
+        out = self._values.get(forest)
+        if out is None:
+            w = tuple([self.atoms[atom][0] for atom, _kids in forest])
+            out = B_w_rep(w, [self.arg(node) for node in forest])
+            if self.motzkin:
+                for plan in _split_plans(w):
+                    out = out - self.nested(plan, forest)
+            self._values[forest] = out
+        return out
+
+    def nested(self, plan, forest):
+        """The nested cumulant of a partition, given by its plan, on the
+        forest's arguments: the product over its outer blocks."""
+        out = BElement({0: 1})
+        for tree in plan:
+            out = out * self.value(_graft(tree, forest))
+        return out
+
+
+def _graft(tree, forest):
+    """The forest of one block of a plan: each of its positions keeps its
+    node's children and gains the blocks nested just after it."""
+    return tuple((forest[p - 1][0],
+                  forest[p - 1][1] + tuple(_graft(c, forest) for c in kids))
+                 for p, kids in tree)
+
+
+@lru_cache(maxsize=1024)
+def _plan(pi):
+    """Nesting plan of a normalized noncrossing partition: a tree per
+    outer block, in order; a tree is a tuple of (position, child trees),
+    where an inner block hangs on the position of its outer block just
+    before it, leftmost first."""
+    children = sp.siblings(sp.nesting(pi))
+
+    def tree(b):
+        kids = [[] for _p in b]
         for c in children[b]:
-            i = bisect_left(b, c[0]) - 1
-            vals[i] = vals[i] * value(c).embed()
-        return leaf(ad.block_subword(w, b), vals)
+            kids[bisect_left(b, c[0]) - 1].append(tree(c))
+        return tuple(zip(b, map(tuple, kids)))
 
-    out = BElement({0: 1})
-    for b in children[None]:
-        out = out * value(b)
-    return out
+    return tuple(tree(b) for b in children[None])
+
+
+def nesting_plan(pi):
+    """The nesting plan of a noncrossing partition given as any blocks,
+    for Forests.nested."""
+    return _plan(sp.normalize(pi))
+
+
+def _leaves(w, args):
+    """The forest of the plain arguments, and its atoms."""
+    w = tuple(w)
+    if len(args) != len(w):
+        raise ValueError('argument/word length mismatch')
+    forest = tuple([(i, ()) for i in range(len(w))])
+    return forest, dict(enumerate(zip(w, args)))
 
 
 def B_pi_rep(w, pi, args):
-    """Nested w-Boolean cumulant B_pi of replica arguments."""
-    return _nested_rep(w, pi, args, B_w_rep)
+    """Nested w-Boolean cumulant B_pi of replica arguments: each inner
+    block's value multiplies the argument of its outer block just before
+    the inner block, leftmost first."""
+    forest, atoms = _leaves(w, args)
+    return Forests(atoms, motzkin=False).nested(nesting_plan(pi), forest)
 
 
 def K_w_rep(w, args):
     """Motzkin cumulant of replica-algebra arguments, by recursion over
     the irreducible adapted partitions of w."""
     w = tuple(w)
-    out = B_w_rep(w, args)
-    for pi in _split_irr(w):
-        out = out - K_pi_rep(w, pi, args)
-    return out
+    if not w or not _split_plans(w):
+        # K_w = B_w: no memo to build
+        return B_w_rep(w, args)
+    forest, atoms = _leaves(w, args)
+    return Forests(atoms).value(forest)
 
 
 @lru_cache(maxsize=256)
-def _split_irr(w):
-    """The irreducible adapted partitions of the tuple word w with more
-    than one block. Cached: K_w_rep asks for them at every level of its
-    recursion, and all of criterion 8 uses 38 distinct words."""
-    return tuple(pi for pi in ad.enumerate_adapted(w, 'irr') if len(pi) > 1)
+def _split_plans(w):
+    """The plans of the irreducible adapted partitions of the tuple word
+    w with more than one block. Cached: K_w asks for them at every level
+    of its recursion, and all of criterion 8 uses 38 distinct words."""
+    return tuple(_plan(pi) for pi in ad.enumerate_adapted(w, 'irr')
+                 if len(pi) > 1)
 
 
 def K_pi_rep(w, pi, args):
     """Nested Motzkin cumulant K_pi of replica arguments."""
-    return _nested_rep(w, pi, args, K_w_rep)
+    forest, atoms = _leaves(w, args)
+    return Forests(atoms).nested(nesting_plan(pi), forest)
 
 
 def K_closed_rep(w, args):
     """Theorem-level closed form: signed sum of nested B_pi over the
     irreducible adapted partitions of w."""
-    w = tuple(w)
+    forest, atoms = _leaves(w, args)
+    nested_B = Forests(atoms, motzkin=False)
     out = B_ZERO
     for pi in ad.enumerate_adapted(w, 'irr'):
-        term = B_pi_rep(w, pi, args)
+        term = nested_B.nested(_plan(pi), forest)
         out = out + (-1) ** (len(pi) - 1) * term
     return out
 

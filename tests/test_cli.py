@@ -211,6 +211,33 @@ def test_convolve_rejects_unknown_letters(capsys, tmp_path):
     assert 'reserved' in err
 
 
+def test_convolve_length_limit(capsys, tmp_path):
+    # refused before the distribution files are read
+    for route, limit in cli.CONVOLVE_MAX_LENGTH.items():
+        for extra in ((), ('--by-path',), ('--word', '1' * (limit + 1))):
+            code, out, err = run(capsys, 'convolve', '--mu1', 'missing.json',
+                                 '--mu2', 'missing.json', '--monomial',
+                                 ','.join('x' * (limit + 1)), '--route',
+                                 route, *extra)
+            assert code == 1 and out == ''
+            assert err == f'error: the {route} route takes monomials of ' \
+                f'length at most {limit}, this one has {limit + 1}\n'
+    assert cli.CONVOLVE_MAX_LENGTH['monotone'] == 9
+    code, out, err = run(capsys, 'convolve', '--mu1', 'missing.json',
+                         '--mu2', 'missing.json', '--monomial', 'x,' * 9 + 'x')
+    assert code == 1 and 'at most 9, this one has 10' in err
+    # at the limit the files are read as before
+    path = tmp_path / 'mu.json'
+    path.write_text(json.dumps(cv.univariate_distribution([0, 1]).to_json()))
+    code, out, err = run(capsys, 'convolve', '--mu1', str(path), '--mu2',
+                         str(path), '--monomial', 'x,x', '--route', 'nested')
+    assert code == 0 and out == '2\n'
+    code, out, err = run(capsys, 'convolve', '--mu1', str(path), '--mu2',
+                         str(path), '--monomial', ','.join('x' * 7),
+                         '--route', 'nested', '--word', '1111111')
+    assert code == 1 and 'exceeds distribution order' in err
+
+
 def test_convolve_missing_file(capsys, tmp_path):
     code, _, err = run(capsys, 'convolve', '--mu1', 'missing.json',
                        '--mu2', 'missing.json', '--monomial', 'x')

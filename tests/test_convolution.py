@@ -6,8 +6,10 @@ from itertools import product as iproduct
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ncmotzkin import adapted as ad
 from ncmotzkin import convolution as cv
 from ncmotzkin import cumulants as cm
+from ncmotzkin import replicas as rp
 from ncmotzkin import words as wd
 from ncmotzkin.cumulants import Poly, ZERO, beta_sym
 
@@ -193,6 +195,10 @@ def test_evaluate_rejects_non_moment_symbols():
         cv.evaluate(cm.m_sym(1, ('x', 'y')), mu, mu)
     with pytest.raises(ValueError, match='exceeds order'):
         cv.evaluate(cm.m_sym(2, ('x',) * 7), mu, mu)
+    # only labels 1 and 2 name a distribution
+    for label in (0, 3):
+        with pytest.raises(ValueError, match=f'label {label}'):
+            cv.evaluate(cm.m_sym(label, ('x',)), mu, mu)
 
 
 def seeded_pair(seed, alphabet=('x', 'y'), order=4):
@@ -241,26 +247,113 @@ def test_cached_parts_match_fresh_builds():
     names = ('x', 'y', 'y', 'x')
     mu1, mu2 = seeded_pair(3)
     routes = ('replica', 'monotone', 'nested')
-    keys = [(w, names[:n], route) for n in range(1, 5)
+    keys = [(w, cv._pattern(names[:n])[0], route) for n in range(1, 5)
             for w in wd.enumerate_words(n) for route in routes]
+    assert {key[1] for key in keys} == {
+        ('#1',), ('#1', '#2'), ('#1', '#2', '#2'), ('#1', '#2', '#2', '#1')}
     fresh = {key: cv._w_part.__wrapped__(*key) for key in keys}
-    cached = {key: cv.boxplus_w_sym(*key) for key in keys}
+    cached = {key: cv._w_part(*key) for key in keys}
+    public = {key: cv.boxplus_w_sym(key[0], names[:len(key[0])], key[2])
+              for key in keys}
     for key in keys:
         assert cached[key] == fresh[key], key
         # the shared part as an operand of arithmetic
         p = cached[key]
         assert (p + p) * p - p * (p + p) == ZERO
-        assert cv.boxplus_w_sym(list(key[0]), list(key[1]), key[2]) is p
+        assert cv._w_part(*key) is p
+        # the renamed part is cached on the literal names
+        w, _pattern, route = key
+        assert cv.boxplus_w_sym(list(w), list(names[:len(w)]), route) \
+            is public[key]
     for n in range(1, 5):
         for route in routes:
             cv.decompose(mu1, mu2, names[:n], route)
             cv.boxplus_total_sym(names[:n], route)
             cv.delta_sym(names[:n])
     for key in keys:
-        assert cv.boxplus_w_sym(*key) == fresh[key], key
+        assert cv._w_part(*key) == fresh[key], key
+        w, _pattern, route = key
+        assert public[key] == frozen_w_part(w, names[:len(w)], route), key
     # the route is part of the key: a bad one is not served from the cache
     with pytest.raises(ValueError, match='unknown route'):
         cv.boxplus_w_sym((1, 1), ('x', 'y'), 'bogus')
+
+
+def test_pattern_of_names():
+    assert cv._pattern(('y', 'x', 'y')) == (('#1', '#2', '#1'),
+                                            {'#1': 'y', '#2': 'x'})
+    assert cv._pattern(('1', '#2', '1', 'x')) == (
+        ('1', '#1', '1', '#2'), {'#1': '#2', '#2': 'x'})
+    assert cv._pattern(()) == ((), {})
+
+
+# The w-part build as written when it was keyed on the literal names,
+# kept unchanged as the reference. Its nested route calls K_pi_rep, which
+# tests/test_replicas.py checks against the recursion it replaced.
+
+def frozen_w_part(w, variables, route):
+    n = len(w)
+    if len(variables) != n:
+        raise ValueError('word/monomial length mismatch')
+    if n == 0:
+        return cm.ONE
+    if route == 'replica':
+        out = ZERO
+        for ell in cv._labelings(n):
+            x = rp.replica_word(variables, ell, w)
+            out = out + rp.zeta_E(x)
+        return out
+    if route == 'monotone':
+        out = ZERO
+        for pi in ad.enumerate_adapted(w, 'monotone'):
+            for ell in ad.labelings_of(pi)['L0']:
+                out = out + rp.beta_hat_pi(pi, ell, variables)
+        return out
+    if route == 'nested':
+        out = ZERO
+        for pi in ad.enumerate_adapted(w, 'all'):
+            for ell in ad.labelings_of(pi)['L']:
+                args = [rp.replica(v, l, j)
+                        for v, l, j in zip(variables, ell, w)]
+                out = out + rp.K_pi_rep(w, pi, args).zeta()
+        return out
+    raise ValueError(f'unknown route {route!r}')
+
+
+ROUTES = ('replica', 'monotone', 'nested')
+
+
+def test_parts_match_frozen_build():
+    words = [w for n in range(1, 5) for w in wd.enumerate_words(n)]
+    words.append((1, 2, 2, 2, 1))
+    for w in words:
+        n = len(w)
+        for names in (tuple(f'a{i + 1}' for i in range(n)),
+                      ('y', 'x', 'y', 'x', 'x')[:n]):
+            for route in ROUTES:
+                assert cv.boxplus_w_sym(w, names, route) == frozen_w_part(
+                    w, names, route), (w, names, route)
+
+
+def test_parts_match_frozen_build_on_every_names_tuple():
+    # repeated names, the unit and names that look like pattern names
+    frozen = {}
+    for n in range(1, 5):
+        words = wd.enumerate_words(n)
+        for names in iproduct(('x', 'y', '1', '#1'), repeat=n):
+            # all routes to n=3, the monotone one at n=4 (all: 12 s)
+            for route in ROUTES if n < 4 else ('monotone',):
+                for w in words:
+                    want = frozen[w, names, route] = frozen_w_part(
+                        w, names, route)
+                    assert cv.boxplus_w_sym(w, names, route) == want, \
+                        (w, names, route)
+                total = cm._sum(frozen[w, names, route] for w in words)
+                assert cv.boxplus_total_sym(names, route) == total, \
+                    (names, route)
+            delta = cm._sum(frozen[w, names, 'monotone'] for w in words
+                            if w != (1,) * n)
+            assert cv.delta_sym(names) == delta, names
 
 
 def test_free_product_is_linear_functional():

@@ -1,3 +1,4 @@
+from bisect import bisect_left
 from fractions import Fraction
 from itertools import product as iproduct
 
@@ -5,6 +6,7 @@ import pytest
 
 from ncmotzkin import acceptance as ac
 from ncmotzkin import adapted as ad
+from ncmotzkin import partitions as sp
 from ncmotzkin import replicas as rp
 from ncmotzkin.cumulants import ONE, ZERO, m_sym
 
@@ -322,9 +324,28 @@ def test_cached_projections_stay_unchanged():
         assert rp.p_proj(j) == fresh_e(j) - fresh_e(j - 1)
 
 
-# K_w and the BElement product as written before the irreducible
-# partitions of a word were cached and before the product took one Poly
-# product per color, kept unchanged as the reference.
+# K_w, the nested cumulants and the BElement product as written before
+# the irreducible partitions of a word were cached, before the nested
+# cumulants were memoized on their argument structure and before the
+# product took one Poly product per color, kept unchanged as the
+# reference.
+
+def frozen_nested_rep(w, pi, args, leaf):
+    w = tuple(w)
+    children = sp.siblings(sp.nesting(sp.normalize(pi)))
+
+    def value(b):
+        vals = [args[p - 1] for p in b]
+        for c in children[b]:
+            i = bisect_left(b, c[0]) - 1
+            vals[i] = vals[i] * value(c).embed()
+        return leaf(ad.block_subword(w, b), vals)
+
+    out = rp.BElement({0: 1})
+    for b in children[None]:
+        out = out * value(b)
+    return out
+
 
 def frozen_K_w_rep(w, args):
     w = tuple(w)
@@ -332,7 +353,7 @@ def frozen_K_w_rep(w, args):
     for pi in ad.enumerate_adapted(w, 'irr'):
         if len(pi) == 1:
             continue
-        out = out - rp._nested_rep(w, pi, args, frozen_K_w_rep)
+        out = out - frozen_nested_rep(w, pi, args, frozen_K_w_rep)
     return out
 
 
@@ -365,6 +386,39 @@ def test_K_w_rep_matches_uncached():
             ell = tuple(map(int, ell))
             args = ac._replicas(w, ell)
             assert rp.K_w_rep(w, args) == frozen_K_w_rep(w, args), (w, ell)
+
+
+def test_nested_cumulants_match_frozen():
+    cases = 0
+    for n in range(1, 6):
+        for w in ac._am_words(n):
+            labelings = (list(iproduct((1, 2), repeat=n)) if n < 5
+                         else [(1,) * n, ((1, 2) * n)[:n]])
+            for ell in labelings:
+                args = ac._replicas(w, ell, 'x')
+                for pi in ad.enumerate_adapted(w, 'all'):
+                    assert rp.K_pi_rep(w, pi, args) == frozen_nested_rep(
+                        w, pi, args, frozen_K_w_rep), (w, ell, pi)
+                    assert rp.B_pi_rep(w, pi, args) == frozen_nested_rep(
+                        w, pi, args, rp.B_w_rep), (w, ell, pi)
+                    cases += 1
+                want = rp.B_ZERO
+                for pi in ad.enumerate_adapted(w, 'irr'):
+                    want = want + (-1) ** (len(pi) - 1) * frozen_nested_rep(
+                        w, pi, args, rp.B_w_rep)
+                assert rp.K_closed_rep(w, args) == want, (w, ell)
+    assert cases > 1000
+    # partitions given as lists of blocks in any order, as before
+    w = (1, 2, 2, 1)
+    args = ac._replicas(w, (1, 2, 2, 1), 'x')
+    assert rp.K_pi_rep(w, [[3, 2], [4, 1]], args) == frozen_nested_rep(
+        w, ((1, 4), (2, 3)), args, frozen_K_w_rep)
+    with pytest.raises(ValueError, match='length mismatch'):
+        rp.K_w_rep(w, args[:3])
+    with pytest.raises(ValueError, match='length mismatch'):
+        rp.K_pi_rep(w, ((1, 4), (2, 3)), args + args[:1])
+    with pytest.raises(ValueError, match='noncrossing'):
+        rp.K_pi_rep(w, ((1, 3), (2, 4)), args)
 
 
 N6_DISAGREEMENTS = {
