@@ -263,21 +263,29 @@ def labeled_classes(w, labels):
 
 def labelings_of(pi):
     """L(pi): the 2^|pi| block-constant labelings; L0(pi): the subset
-    alternating along nesting chains."""
+    alternating along nesting chains, built from one nesting scan: the
+    top-level blocks take labels freely, and every inner block the label
+    opposite to its nearest outer block's."""
     pi = sp.normalize(pi)
-    n = sp.ground_size(pi)
-    big = []
-    small = []
-    for mask in range(1 << len(pi)):
-        ell = [0] * n
-        for i, b in enumerate(pi):
-            for p in b:
-                ell[p - 1] = 1 if mask >> i & 1 else 2
-        ell = tuple(ell)
-        big.append(ell)
-        if chains_alternate(pi, ell):
-            small.append(ell)
-    return {'L': sorted(big), 'L0': sorted(small)}
+    nest = sp.nesting(pi)
+    tops = [v for v, (outer, _d) in nest.items() if outer is None]
+
+    def labeling(label):
+        # label: the blocks that choose freely; in minima order every
+        # other block comes after its outer block and takes the opposite
+        ell = [0] * sp.ground_size(pi)
+        for v, (outer, _d) in nest.items():
+            if v not in label:
+                label[v] = 3 - label[outer]
+            for p in v:
+                ell[p - 1] = label[v]
+        return tuple(ell)
+
+    def labelings(blocks):
+        return sorted(labeling(dict(zip(blocks, ls)))
+                      for ls in product((1, 2), repeat=len(blocks)))
+
+    return {'L': labelings(pi), 'L0': labelings(tops)}
 
 
 def eta(pi0):

@@ -26,10 +26,11 @@ from .cumulants import format_belement, format_poly
 HASSE_MAX_VERTICES = 1500
 # Longest monomial `convolve` takes, per route: the last length whose
 # univariate boxplus_total, from a fresh process, finishes within about
-# 20 s on a 2-core x86-64 machine (Python 3.11); each length costs 5 to
-# 9 times the one before. monotone: n=8 1.5 s, n=9 7.0 s, n=10 36 s;
-# replica: n=8 3.1 s, n=9 19 s; nested: n=7 3.8 s, n=8 33 s.
-CONVOLVE_MAX_LENGTH = {'monotone': 9, 'replica': 9, 'nested': 7}
+# 20 s on a 2-core x86-64 machine (Python 3.11); each length costs 3 to
+# 9 times the one before. monotone: n=11 3.1 s, n=12 11.3 s, n=13 39 s
+# (two alternating names: n=11 7.4 s, n=12 36 s); replica: n=8 3.1 s,
+# n=9 19 s; nested: n=7 3.8 s, n=8 33 s.
+CONVOLVE_MAX_LENGTH = {'monotone': 12, 'replica': 9, 'nested': 7}
 
 
 def _word_json(w):

@@ -12,6 +12,7 @@ yield the Boolean convolution.
 
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 
 from .cumulants import (UNIT, ZERO, ONE, moment_to_free, moment_to_boolean,
                         beta_sym, _poly, _restrict, _prod, _sum)
@@ -107,22 +108,47 @@ def evaluate(poly, mu1, mu2):
     """Substitute the moments of mu1 and mu2 for the label-1 and label-2
     moment symbols of a polynomial. A moment is looked up in the table;
     a word that is not there goes through Distribution.moment, which
-    raises for unknown letters and words longer than the order."""
+    raises for unknown letters and words longer than the order.
+
+    Each term is multiplied out in integers, numerator and denominator,
+    and added over the running lcm of the denominators; one Fraction is
+    built at the end."""
     mus = {1: mu1, 2: mu2}
-    total = Fraction(0)
+    values = {}
+    total, denom = 0, 1
     for mono, coeff in poly.terms.items():
-        val = coeff
-        for kind, label, args in mono:
-            if kind != 'm':
-                raise ValueError(f'cannot evaluate symbol kind {kind!r}')
-            mu = mus.get(label)
-            if mu is None:
-                raise ValueError(f'cannot evaluate a moment symbol with '
-                                 f'label {label!r}: labels are 1 and 2')
-            moment = mu.moments.get(args)
-            val *= mu.moment(args) if moment is None else moment
-        total += val
-    return total
+        if type(coeff) is int:
+            num, den = coeff, 1
+        else:
+            num, den = coeff.numerator, coeff.denominator
+        for sym in mono:
+            value = values.get(sym)
+            if value is None:
+                value = values[sym] = _moment_value(sym, mus)
+            num *= value[0]
+            den *= value[1]
+        if den != denom:
+            g = gcd(den, denom)
+            total *= den // g
+            num *= denom // g
+            denom *= den // g
+        total += num
+    return Fraction(total, denom)
+
+
+def _moment_value(sym, mus):
+    """(numerator, denominator) of a moment symbol's value."""
+    kind, label, args = sym
+    if kind != 'm':
+        raise ValueError(f'cannot evaluate symbol kind {kind!r}')
+    mu = mus.get(label)
+    if mu is None:
+        raise ValueError(f'cannot evaluate a moment symbol with '
+                         f'label {label!r}: labels are 1 and 2')
+    moment = mu.moments.get(args)
+    if moment is None:
+        moment = mu.moment(args)
+    return moment.numerator, moment.denominator
 
 
 def _check_pair(mu1, mu2, word):
@@ -194,7 +220,8 @@ def boxplus_w_sym(w, variables, route='replica'):
     words over all labelings; 'monotone' sums partitioned Boolean
     cumulants over labeled monotone partitions; 'nested' sums
     zeta(K_pi[...]) over adapted partitions and block-constant
-    labelings.
+    labelings. A nonempty w that is not a reduced Motzkin word raises
+    ValueError before anything is built.
 
     The part depends on w, the route and the pattern in which the
     variable names repeat, never on a distribution: it is built once per
@@ -239,7 +266,7 @@ def _rename(p, back):
 @lru_cache(maxsize=1024)
 def _named(build, key, variables, route):
     """build(key, pattern, route) of the names' pattern, renamed to the
-    names. Bounded: a convolve benchmark pass asks for 118 part keys and
+    names. Bounded: a convolve benchmark pass asks for 95 part keys and
     23 totals, criterion 10 for 59 keys in all."""
     pattern, back = _pattern(variables)
     out = build(key, pattern, route)
@@ -250,12 +277,14 @@ def _named(build, key, variables, route):
 def _w_part(w, pattern, route):
     """boxplus_w_sym on a tuple word and a tuple of str names, which
     boxplus_w_sym gives as their first-occurrence pattern. Bounded: a
-    convolve benchmark pass uses 86 keys, criterion 10 uses 73."""
+    convolve benchmark pass uses 74 keys, criterion 10 uses 73."""
     n = len(w)
     if len(pattern) != n:
         raise ValueError('word/monomial length mismatch')
     if n == 0:
         return ONE
+    if not wd.is_reduced(w):
+        raise ValueError(f'{w} is not a reduced Motzkin word')
     if route == 'replica':
         out = ZERO
         for ell in _labelings(n):
@@ -263,11 +292,7 @@ def _w_part(w, pattern, route):
             out = out + rp.zeta_E(x)
         return out
     if route == 'monotone':
-        out = ZERO
-        for pi in ad.enumerate_adapted(w, 'monotone'):
-            for ell in ad.labelings_of(pi)['L0']:
-                out = out + rp.beta_hat_pi(pi, ell, pattern)
-        return out
+        return _monotone_part(w, pattern)
     if route == 'nested':
         # one memo for the whole part: its atoms are the 2n replicas
         # (position, label), shared by every partition and labeling
@@ -283,6 +308,49 @@ def _w_part(w, pattern, route):
                 out = out + nested_K.nested(plan, forest).zeta()
         return out
     raise ValueError(f'unknown route {route!r}')
+
+
+def _monotone_part(w, names):
+    """The monotone route: the sum over the labeled monotone partitions
+    of w of their products of Boolean cumulants, summed run by run.
+
+    run(a, b, label) sums over the partitions of a..b into sibling
+    blocks of the letter h = w_a. Since w is a reduced Motzkin word, a
+    run ends with h and has no letter below it. A block starts at a and
+    steps to the next letter h; the letters it steps over are a gap,
+    filled by a run at h + 1 whose label is the opposite of the block's.
+    It may close where the next letter is h (or at b), followed by the
+    run on the rest. At top level (label None) each block picks its own
+    label; below, every sibling takes the one opposite to its outer
+    block's. This is the monotone case of adapted.enumerate_adapted's
+    run."""
+
+    @lru_cache(maxsize=None)
+    def run(a, b, label):
+        h = w[a - 1]
+        labels = (1, 2) if label is None else (label,)
+        # fills[i]: the product of the block's gaps when it takes labels[i]
+        fills = [ONE] * len(labels)
+        block = [a]
+        out = ZERO
+        while True:
+            last = block[-1]
+            if last == b or w[last] == h:
+                rest = ONE if last == b else run(last + 1, b, label)
+                args = _restrict(names, block)
+                out = out + rest * _sum(moment_to_boolean(l, args) * f
+                                        for l, f in zip(labels, fills))
+            if last == b:
+                return out
+            q = last + 1
+            while w[q - 1] > h:
+                q += 1
+            if q > last + 1:
+                fills = [f * run(last + 1, q - 1, 3 - l)
+                         for f, l in zip(fills, labels)]
+            block.append(q)
+
+    return run(1, len(w), None)
 
 
 @lru_cache(maxsize=128)
@@ -312,12 +380,6 @@ def boxplus_w(mu1, mu2, monomial, w, route='monotone'):
     """Value of the w-indexed convolution part on a monomial (a word over
     the common alphabet)."""
     _check_pair(mu1, mu2, monomial)
-    w = tuple(w)
-    monomial = tuple(monomial)
-    if len(monomial) != len(w):
-        raise ValueError('word/monomial length mismatch')
-    if not wd.is_reduced(w) and w:
-        raise ValueError(f'{w} is not a reduced Motzkin word')
     return evaluate(boxplus_w_sym(w, monomial, route), mu1, mu2)
 
 
@@ -342,7 +404,8 @@ def uplus_total(mu1, mu2, monomial):
     monomial = tuple(monomial)
     if not monomial:
         return Fraction(1)
-    return evaluate(boxplus_w_sym((1,) * len(monomial), monomial), mu1, mu2)
+    return evaluate(boxplus_w_sym((1,) * len(monomial), monomial,
+                                  'monotone'), mu1, mu2)
 
 
 def delta_sym(variables):

@@ -124,6 +124,38 @@ def test_labelings_of():
     assert out['L0'] == [(1, 2, 2, 1), (2, 1, 1, 2)]
 
 
+def frozen_labelings_of(pi):
+    """labelings_of as written when L0 was filtered from L by
+    chains_alternate."""
+    pi = sp.normalize(pi)
+    n = sp.ground_size(pi)
+    big = []
+    small = []
+    for mask in range(1 << len(pi)):
+        ell = [0] * n
+        for i, b in enumerate(pi):
+            for p in b:
+                ell[p - 1] = 1 if mask >> i & 1 else 2
+        ell = tuple(ell)
+        big.append(ell)
+        if ad.chains_alternate(pi, ell):
+            small.append(ell)
+    return {'L': sorted(big), 'L0': sorted(small)}
+
+
+def test_labelings_of_matches_chains_alternate_filter():
+    count = 0
+    for n in range(1, 8):
+        for w in wd.enumerate_words(n):
+            for pi in ad.enumerate_adapted(w, 'all'):
+                assert ad.labelings_of(pi) == frozen_labelings_of(pi), pi
+                count += 1
+    assert count == 1833
+    # blocks given in any order, as lists
+    assert ad.labelings_of([[2, 3], [4, 1]]) == \
+        frozen_labelings_of(((1, 4), (2, 3)))
+
+
 def test_poset_vertices():
     verts = ad.poset_ncn(3)
     assert len(verts) == sum(

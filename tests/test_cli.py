@@ -222,10 +222,11 @@ def test_convolve_length_limit(capsys, tmp_path):
             assert code == 1 and out == ''
             assert err == f'error: the {route} route takes monomials of ' \
                 f'length at most {limit}, this one has {limit + 1}\n'
-    assert cli.CONVOLVE_MAX_LENGTH['monotone'] == 9
+    assert cli.CONVOLVE_MAX_LENGTH['monotone'] == 12
     code, out, err = run(capsys, 'convolve', '--mu1', 'missing.json',
-                         '--mu2', 'missing.json', '--monomial', 'x,' * 9 + 'x')
-    assert code == 1 and 'at most 9, this one has 10' in err
+                         '--mu2', 'missing.json', '--monomial',
+                         'x,' * 12 + 'x')
+    assert code == 1 and 'at most 12, this one has 13' in err
     # at the limit the files are read as before
     path = tmp_path / 'mu.json'
     path.write_text(json.dumps(cv.univariate_distribution([0, 1]).to_json()))

@@ -154,6 +154,11 @@ def test_bernoulli_convolutions():
     assert cv.boxplus_total(mu, mu, ('x',) * 2) == 2
     assert cv.boxplus_total(mu, mu, ('x',) * 4) == 6
     assert cv.uplus_total(mu, mu, ('x',) * 4) == 4
+    # the Boolean total reads the cached monotone part of 1^n
+    cv._named.cache_clear()
+    assert cv.uplus_total(mu, mu, ('x',) * 5) == 0
+    cv.boxplus_w_sym((1,) * 5, ('x',) * 5, 'monotone')
+    assert cv._named.cache_info().hits == 1
     assert cv.delta(mu, mu, ('x',) * 4) == 2
     parts = cv.decompose(mu, mu, ('x',) * 4)
     assert sum(parts.values()) == 6
@@ -243,6 +248,28 @@ def test_evaluate_matches_frozen():
                     assert type(got) is Fraction
 
 
+EVAL_WORDS = [w for n in range(1, 4) for w in iproduct('xy', repeat=n)]
+MOMENT_VALUES = st.fractions(min_value=-5, max_value=5, max_denominator=7)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.lists(MOMENT_VALUES, min_size=len(EVAL_WORDS),
+                         max_size=len(EVAL_WORDS)), min_size=2, max_size=2),
+       st.dictionaries(
+           st.lists(st.tuples(st.just('m'), st.sampled_from((1, 2)),
+                              st.sampled_from(EVAL_WORDS)),
+                    max_size=4).map(lambda m: tuple(sorted(m))),
+           st.one_of(st.integers(-20, 20), st.fractions(max_denominator=12)),
+           max_size=8))
+def test_evaluate_matches_frozen_on_random_polys(tables, terms):
+    mu1, mu2 = (cv.Distribution(('x', 'y'), 3, dict(zip(EVAL_WORDS, t)))
+                for t in tables)
+    poly = Poly(terms)
+    got = cv.evaluate(poly, mu1, mu2)
+    assert type(got) is Fraction
+    assert got == frozen_evaluate(poly, mu1, mu2)
+
+
 def test_cached_parts_match_fresh_builds():
     names = ('x', 'y', 'y', 'x')
     mu1, mu2 = seeded_pair(3)
@@ -304,11 +331,7 @@ def frozen_w_part(w, variables, route):
             out = out + rp.zeta_E(x)
         return out
     if route == 'monotone':
-        out = ZERO
-        for pi in ad.enumerate_adapted(w, 'monotone'):
-            for ell in ad.labelings_of(pi)['L0']:
-                out = out + rp.beta_hat_pi(pi, ell, variables)
-        return out
+        return frozen_monotone_part(w, variables)
     if route == 'nested':
         out = ZERO
         for pi in ad.enumerate_adapted(w, 'all'):
@@ -320,7 +343,46 @@ def frozen_w_part(w, variables, route):
     raise ValueError(f'unknown route {route!r}')
 
 
+def frozen_monotone_part(w, variables):
+    # the monotone route as written before it was summed over sibling
+    # runs: every monotone partition, every alternating labeling
+    out = ZERO
+    for pi in ad.enumerate_adapted(w, 'monotone'):
+        for ell in ad.labelings_of(pi)['L0']:
+            out = out + rp.beta_hat_pi(pi, ell, variables)
+    return out
+
+
 ROUTES = ('replica', 'monotone', 'nested')
+
+
+def test_monotone_part_matches_enumeration():
+    for n in range(1, 8):
+        patterns = {tuple(f'a{i + 1}' for i in range(n)), ('x',) * n,
+                    tuple('xy'[i % 2] for i in range(n)),
+                    tuple('x1y'[i % 3] for i in range(n))}
+        for w in wd.enumerate_words(n):
+            for names in patterns:
+                assert cv.boxplus_w_sym(w, names, 'monotone') == \
+                    frozen_monotone_part(w, names), (w, names)
+
+
+def test_parts_reject_words_that_are_not_reduced():
+    mu = bernoulli()
+    for w in ((2, 2), (2,), (1, 3, 1), (1, 2), (1, 2, 2), (0, 0)):
+        names = ('x',) * len(w)
+        for route in ROUTES:
+            with pytest.raises(ValueError,
+                               match='is not a reduced Motzkin word'):
+                cv.boxplus_w_sym(w, names, route)
+            with pytest.raises(ValueError,
+                               match='is not a reduced Motzkin word'):
+                cv.boxplus_w(mu, mu, names, w, route)
+    # the length is checked first, and the empty word is the unit
+    with pytest.raises(ValueError, match='length mismatch'):
+        cv.boxplus_w_sym((2, 2), ('x',))
+    assert cv.boxplus_w_sym((), ()) == cm.ONE
+    assert cv.boxplus_w(mu, mu, (), ()) == 1
 
 
 def test_parts_match_frozen_build():
