@@ -671,27 +671,34 @@ def _check_closed_forms(nmax):
 
 
 def crit_replicas(scale):
+    """The replica sub-checks in order. The detail lists each one's
+    seconds, or names the first that fails with a one-line reproducer."""
     nmax = 5 if scale == 'full' else 4
     bmax = 3 if scale == 'full' else 2
-    for check, bound in (
-            (_check_examples_replicas, None),
-            (_check_constant_word_lemma, nmax),
-            (_check_factorization, nmax),
-            (_check_local_maximum, nmax),
-            (_check_insertions, nmax),
-            (_check_nesting, nmax),
-            (_check_monotone_pairs, nmax),
-            (_check_standalone_projections, 4 if scale == 'full' else 3),
-            (_check_additivity, min(nmax, 4)),
-            (_check_closed_forms, nmax),
+    times = []
+    for check, args in (
+            (_check_examples_replicas, ()),
+            (_check_constant_word_lemma, (nmax,)),
+            (_check_factorization, (nmax,)),
+            (_check_local_maximum, (nmax,)),
+            (_check_insertions, (nmax,)),
+            (_check_nesting, (nmax,)),
+            (_check_monotone_pairs, (nmax,)),
+            (_check_standalone_projections, (4 if scale == 'full' else 3,)),
+            (_check_additivity, (min(nmax, 4),)),
+            (_check_closed_forms, (nmax,)),
+            (_check_cumulant_lemmas, (nmax, bmax)),
             ):
-        err = check() if bound is None else check(bound)
+        call = f'{check.__name__}({", ".join(map(str, args))})'
+        t0 = time.perf_counter()
+        err = check(*args)
         if err:
-            return False, err
-    err = _check_cumulant_lemmas(nmax, bmax)
-    if err:
-        return False, err
-    return True, f'examples fixed; lemma suites exhaustive to n={nmax}'
+            return False, (f'{call} failed: {err}; reproduce with python -c '
+                           f'"from ncmotzkin import acceptance as a; '
+                           f'print(a.{call})"')
+        times.append(f'{call} {time.perf_counter() - t0:.2f}s')
+    return True, (f'examples fixed; lemma suites exhaustive to n={nmax}; '
+                  + ', '.join(times))
 
 
 # ---------------------------------------------------------------- 9

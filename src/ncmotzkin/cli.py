@@ -24,13 +24,15 @@ from .cumulants import format_belement, format_poly
 # about 9 s on a 2-core x86-64 machine, 2,048 (adapted --word 1^12)
 # take 23 s, and poset --n 8 has 6,012.
 HASSE_MAX_VERTICES = 1500
-# Longest monomial `convolve` takes, per route: the last length whose
-# univariate boxplus_total, from a fresh process, finishes within about
-# 20 s on a 2-core x86-64 machine (Python 3.11); each length costs 3 to
-# 9 times the one before. monotone: n=11 3.1 s, n=12 11.3 s, n=13 39 s
-# (two alternating names: n=11 7.4 s, n=12 36 s); replica: n=8 3.1 s,
-# n=9 19 s; nested: n=7 3.8 s, n=8 33 s.
-CONVOLVE_MAX_LENGTH = {'monotone': 12, 'replica': 9, 'nested': 7}
+# Longest monomial `convolve` takes, per route, as (one distinct name,
+# more than one): the last length whose boxplus_total, from a fresh
+# process, finishes within about 20 s on a 2-core x86-64 machine (Python
+# 3.11); each length costs 3 to 9 times the one before. monotone, one
+# name: n=12 9.1 s; two alternating names: n=11 7.0 s, n=12 31 s; three:
+# n=11 8.0 s; all distinct: n=11 12.4 s. replica, any names: n=8 1.8-2.8 s,
+# n=9 11.9-13.2 s. nested, any names: n=7 3.5-3.7 s; one name n=8 18.7 s.
+CONVOLVE_MAX_LENGTH = {'monotone': (12, 11), 'replica': (9, 9),
+                       'nested': (7, 7)}
 
 
 def _word_json(w):
@@ -230,10 +232,12 @@ def _load_distribution(path):
 
 def cmd_convolve(args):
     monomial = tuple(args.monomial.split(','))
-    limit = CONVOLVE_MAX_LENGTH[args.route]
+    several = len(set(monomial)) > 1
+    limit = CONVOLVE_MAX_LENGTH[args.route][several]
     if len(monomial) > limit:
-        raise ValueError(f'the {args.route} route takes monomials of '
-                         f'length at most {limit}, this one has '
+        names = ' in more than one name' if several else ''
+        raise ValueError(f'the {args.route} route takes monomials{names} '
+                         f'of length at most {limit}, this one has '
                          f'{len(monomial)}')
     mu1 = _load_distribution(args.mu1)
     mu2 = _load_distribution(args.mu2)

@@ -10,6 +10,7 @@ distinguished variable '1' is the algebra unit.
 from bisect import bisect_left
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 
 from . import partitions as sp
 from . import adapted as ad
@@ -191,14 +192,23 @@ def _prod(polys):
 
 @lru_cache(maxsize=None)
 def moment_to_free(label, args):
-    """Free cumulant r(args) expanded in moment symbols."""
+    """Free cumulant r(args) expanded in moment symbols. In a noncrossing
+    partition the other blocks partition the gaps of the block V of the
+    first position freely, so m(1..n) = sum over V of r(V) times the
+    moments of V's gaps, and r(1..n) is m(1..n) minus the terms with
+    V != 1..n: 2^(n-1) terms instead of one per element of NC(n)."""
+    if not args:
+        raise ValueError('empty argument list')
     n = len(args)
     out = m_sym(label, args)
-    for pi in sp.noncrossing_partitions(n):
-        if len(pi) == 1:
-            continue
-        out = out - _prod(moment_to_free(label, _restrict(args, b))
-                          for b in pi)
+    for k in range(n - 1):
+        for rest in combinations(range(1, n), k):
+            v = (0,) + rest
+            term = moment_to_free(label, tuple([args[i] for i in v]))
+            for a, b in zip(v, rest + (n,)):
+                if b > a + 1:
+                    term = term * m_sym(label, args[a + 1:b])
+            out = out - term
     return out
 
 

@@ -213,20 +213,31 @@ def test_convolve_rejects_unknown_letters(capsys, tmp_path):
 
 def test_convolve_length_limit(capsys, tmp_path):
     # refused before the distribution files are read
-    for route, limit in cli.CONVOLVE_MAX_LENGTH.items():
-        for extra in ((), ('--by-path',), ('--word', '1' * (limit + 1))):
-            code, out, err = run(capsys, 'convolve', '--mu1', 'missing.json',
-                                 '--mu2', 'missing.json', '--monomial',
-                                 ','.join('x' * (limit + 1)), '--route',
-                                 route, *extra)
-            assert code == 1 and out == ''
-            assert err == f'error: the {route} route takes monomials of ' \
-                f'length at most {limit}, this one has {limit + 1}\n'
-    assert cli.CONVOLVE_MAX_LENGTH['monotone'] == 12
+    for route, limits in cli.CONVOLVE_MAX_LENGTH.items():
+        for names, limit, several in (('x', limits[0], ''),
+                                      ('xy', limits[1],
+                                       ' in more than one name')):
+            monomial = ','.join((names * (limit + 1))[:limit + 1])
+            for extra in ((), ('--by-path',), ('--word', '1' * (limit + 1))):
+                code, out, err = run(capsys, 'convolve', '--mu1',
+                                     'missing.json', '--mu2', 'missing.json',
+                                     '--monomial', monomial, '--route',
+                                     route, *extra)
+                assert code == 1 and out == ''
+                assert err == f'error: the {route} route takes monomials' \
+                    f'{several} of length at most {limit}, this one has ' \
+                    f'{limit + 1}\n'
+    assert cli.CONVOLVE_MAX_LENGTH['monotone'] == (12, 11)
     code, out, err = run(capsys, 'convolve', '--mu1', 'missing.json',
                          '--mu2', 'missing.json', '--monomial',
                          'x,' * 12 + 'x')
     assert code == 1 and 'at most 12, this one has 13' in err
+    # two alternating names cost about three times one name at length 12
+    code, out, err = run(capsys, 'convolve', '--mu1', 'missing.json',
+                         '--mu2', 'missing.json', '--monomial',
+                         ','.join('xy' * 6))
+    assert code == 1 and 'in more than one name of length at most 11, ' \
+        'this one has 12' in err
     # at the limit the files are read as before
     path = tmp_path / 'mu.json'
     path.write_text(json.dumps(cv.univariate_distribution([0, 1]).to_json()))

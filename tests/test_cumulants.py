@@ -282,3 +282,33 @@ def test_moment_to_boolean_matches_interval_sum():
                 frozen_moment_to_boolean(label, args), (label, args)
     with pytest.raises(ValueError):
         cm.moment_to_boolean(0, ())
+
+
+# Free cumulants as the sum over NC(n) first written, kept unchanged as
+# the reference for the first-block recurrence.
+
+@lru_cache(maxsize=None)
+def frozen_moment_to_free(label, args):
+    """Free cumulant r(args) expanded in moment symbols."""
+    n = len(args)
+    out = m_sym(label, args)
+    for pi in sp.noncrossing_partitions(n):
+        if len(pi) == 1:
+            continue
+        out = out - cm._prod(frozen_moment_to_free(
+            label, cm._restrict(args, b)) for b in pi)
+    return out
+
+
+def test_moment_to_free_matches_noncrossing_sum():
+    cases = [('x',) * n for n in range(1, 9)]
+    cases += [tuple('abcdefgh'[:n]) for n in range(1, 8)]
+    cases += [w for n in range(1, 7) for w in iproduct(('x', UNIT), repeat=n)]
+    cases += [w for n in range(1, 6)
+              for w in iproduct(('a', 'b', UNIT), repeat=n)]
+    for label in (0, 2):
+        for args in cases:
+            assert cm.moment_to_free(label, args) == \
+                frozen_moment_to_free(label, args), (label, args)
+    with pytest.raises(ValueError):
+        cm.moment_to_free(0, ())

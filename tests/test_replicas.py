@@ -256,6 +256,38 @@ def test_expectation_matches_uncached():
                         (w, ell, i, j)
 
 
+def test_expectation_matches_frozen_on_sums():
+    # arguments of several terms, or of one term whose coefficient is not
+    # the unit, which expectation accumulates color by color
+    a = m_sym(1, ('a',))
+    factors = [rp.REP_ZERO, rp.REP_ONE]
+    for j in (1, 2, 3):
+        factors += [rp.REP_ONE - rp.p_proj(j), rp.e_proj(j) + rep('a', 2, j)]
+    for w, ell in (((1, 2, 1), (1, 2, 1)), ((1, 1), (1, 2)),
+                   ((1, 2, 2, 1), (2, 1, 1, 2)), ((2, 2), (1, 1))):
+        factors.append(rp.B_w_rep(w, ac._replicas(w, ell, 'y')).embed())
+    shapes = set()
+    for f in factors:
+        for x in (f, a * f, Fraction(-3, 2) * f, f * (ONE - a), 0 * f):
+            for y in (x, rep('b', 1, 2) * x, x * rep('c', 2, 1) * x):
+                assert rp.expectation(y) == frozen_expectation(y), y.terms
+                shapes.add((len(y.terms),
+                            any(c != ONE for c in y.terms.values())))
+    assert {(0, False), (1, False), (1, True), (2, False), (2, True),
+            (4, True)} <= shapes
+    assert rp.expectation(rp.REP_ZERO) == rp.B_ZERO
+
+
+def test_rep_product_starts_from_first_argument():
+    assert rp.rep_product([]) is rp.REP_ONE
+    assert rp.rep_product(iter([])) is rp.REP_ONE
+    for x in (rp.REP_ZERO, rp.p_proj(2), rep('a', 1, 1),
+              rp.REP_ONE - rp.p_proj(1)):
+        assert rp.rep_product([x]) == x
+        assert rp.rep_product([x, rp.REP_ONE]) == x
+        assert rp.rep_product(iter([rp.REP_ONE, x])) == x
+
+
 # The string product and the Rep product's pair loop as first written,
 # before the string product was cached, kept unchanged as the reference.
 
@@ -446,3 +478,26 @@ def test_belement_product_matches_three_products():
     assert len(elements) > 50
     for x, y in iproduct(elements, repeat=2):
         assert x * y == frozen_belement_mul(x, y), (x, y)
+
+
+def test_zero_operands_match_frozen_products():
+    a = m_sym(1, ('a',))
+    zeros = [rp.REP_ZERO, rp.Rep(), rp.Rep({(((), 0), ((), 0)): 0}),
+             rp.p_proj(1) * rp.p_proj(2)]
+    others = [rp.REP_ZERO, rp.REP_ONE, rp.p_proj(2), rep('a', 2, 3),
+              (rp.REP_ONE - rp.p_proj(1)) * a + rep('b', 1, 1)]
+    for z in zeros:
+        assert z.is_zero()
+        for x in others:
+            for u, v in ((z, x), (x, z)):
+                assert u * v == frozen_rep_mul(u, v) == rp.REP_ZERO
+        assert z * a == rp.REP_ZERO and a * z == rp.REP_ZERO
+    b_zeros = [rp.B_ZERO, rp.BElement(), rp.BElement({0: 0, 2: ZERO})]
+    b_others = [rp.B_ZERO, rp.BElement({0: 1}), rp.BElement({2: a}),
+                rp.BElement({0: a, 1: ONE - a, 3: 2})]
+    for z in b_zeros:
+        assert z.is_zero()
+        for x in b_others:
+            for u, v in ((z, x), (x, z)):
+                assert u * v == frozen_belement_mul(u, v) == rp.B_ZERO
+        assert z * a == rp.B_ZERO and a * z == rp.B_ZERO
