@@ -9,6 +9,7 @@ poset over all pairs (partition, word).
 
 from functools import lru_cache
 from itertools import combinations, product
+from operator import le
 
 from . import partitions as sp
 from . import words as wd
@@ -136,7 +137,8 @@ def enumerate_adapted(w, cls='all'):
         grow((a,), None, ())
         return tuple(out)
 
-    return sorted(tuple(sorted(p)) for p in run(1, n, w[0], 1, 0))
+    # run yields the blocks of each partition in order of their minima
+    return sorted(run(1, n, w[0], 1, 0))
 
 
 def zero_hat(w):
@@ -318,23 +320,49 @@ def poset_ncn(n, irr=False):
 
 def poset_leq(a, b):
     (pi, w), (rho, u) = a, b
-    return sp.refines(pi, rho) and all(x <= y for x, y in zip(w, u))
+    return all(map(le, w, u)) and sp.refines(pi, rho)
 
 
-def hasse(vertices, leq):
-    """Cover relations of a finite poset given by a comparison predicate:
-    b covers a when b lies in the strict up-set of a and in the up-set
-    of no element of it."""
-    up = [[j for j, b in enumerate(vertices) if b != a and leq(a, b)]
-          for a in vertices]
+def _covers(vertices, up):
+    """Cover edges from the strict up-sets, given as int bitsets over
+    vertex indices: b covers a when b lies in the up-set of a and in the
+    up-set of no element of it. Edges come in order of a, then of b."""
     edges = []
     for a, above in zip(vertices, up):
-        beyond = set().union(*(up[c] for c in above))
-        edges += [(a, vertices[b]) for b in above if b not in beyond]
+        beyond = 0
+        for c in sp._bits(above):
+            beyond |= up[c]
+        edges += [(a, vertices[b]) for b in sp._bits(above & ~beyond)]
     return edges
 
 
+def hasse(vertices, leq):
+    """Cover relations of a finite poset given by a comparison predicate,
+    from each vertex's strict up-set as an int bitset."""
+    return _covers(vertices, [
+        sum(1 << j for j, b in enumerate(vertices) if b != a and leq(a, b))
+        for a in vertices])
+
+
 def hasse_adapted(w, cls='all'):
-    """Cover edges of NC(w) (refinement order at fixed word)."""
+    """Cover edges of NC(w) (refinement order at fixed word).
+
+    A partition's pairs x < y in one block determine it, and pi refines
+    rho exactly when the pairs of pi are pairs of rho. So the up-set of
+    pi is the intersection, over its pairs, of the bitsets of the
+    vertices holding that pair (every vertex, for the partition into
+    singletons)."""
     verts = enumerate_adapted(w, cls)
-    return hasse(verts, sp.refines)
+    pairs = [[q for b in pi for q in combinations(b, 2)] for pi in verts]
+    holding = {}
+    for i, ps in enumerate(pairs):
+        for q in ps:
+            holding[q] = holding.get(q, 0) | 1 << i
+    every = (1 << len(verts)) - 1
+    up = []
+    for i, ps in enumerate(pairs):
+        s = every & ~(1 << i)
+        for q in ps:
+            s &= holding[q]
+        up.append(s)
+    return _covers(verts, up)

@@ -19,10 +19,11 @@ from . import replicas as rp
 from . import words as wd
 from .cumulants import format_belement, format_poly
 
-# Largest vertex set `--dot` draws. The cover search grows faster than
-# the square of the vertex count: 1,392 vertices (poset --n 7) take
-# about 9 s on a 2-core x86-64 machine, 2,048 (adapted --word 1^12)
-# take 23 s, and poset --n 8 has 6,012.
+# Largest vertex set `--dot` draws. `poset --dot` compares every pair
+# of vertices: 1,392 vertices (poset --n 7) take about 4 s on a 2-core
+# x86-64 machine (Python 3.11), and poset --n 8 has 6,012. `adapted
+# --dot` intersects pair bitsets instead: 1,024 vertices (adapted
+# --word 1^11) take 0.2 s from a fresh process.
 HASSE_MAX_VERTICES = 1500
 # Longest monomial `convolve` takes, per route, as (one distinct name,
 # more than one): the last length whose boxplus_total, from a fresh

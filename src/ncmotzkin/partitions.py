@@ -3,10 +3,12 @@ nesting structure and the join in the noncrossing lattice.
 
 A partition is stored canonically as a tuple of blocks, each block a
 tuple of increasing 1-based elements, blocks ordered by their minima.
-The nesting scan behind `is_noncrossing`, `nesting` and `join_nc` reads
-a block's first element as its minimum and its last as its maximum, so
-it needs increasing blocks: the canonical form `normalize` produces.
-NC(n), NC_irr(n) and Int(n) are generated from their components.
+The nesting scan behind `is_noncrossing` and `nesting` reads a block's
+first element as its minimum and its last as its maximum, so it needs
+increasing blocks: the canonical form `normalize` produces. `join_nc`
+holds blocks as int masks, bit x for element x, and returns the
+canonical form. NC(n) and Int(n) are generated from their members on
+[n-1], NC_irr(n) from NC(n-1).
 """
 
 from functools import lru_cache
@@ -103,17 +105,36 @@ def is_interval(pi):
     return all(b[-1] - b[0] + 1 == len(b) for b in pi)
 
 
+def _outer_blocks(pi):
+    """Indices of the blocks of a noncrossing pi that no block encloses:
+    those whose maximum exceeds the maxima of all blocks before them."""
+    out = []
+    top = 0
+    for i, b in enumerate(pi):
+        if b[-1] > top:
+            top = b[-1]
+            out.append(i)
+    return out
+
+
+def _last_block(pi):
+    return (len(pi) - 1,)
+
+
 @lru_cache(maxsize=None)
-def _concatenations(n, component):
-    """Sorted partitions of [n]: a component(j) on 1..j, then one of the
-    same family shifted to j+1..n. Noncrossing partitions split so into
-    irreducible components, interval partitions into single blocks."""
-    if n == 0:
-        return ((),)
-    return tuple(sorted(
-        first + tuple(tuple(x + j for x in b) for b in rest)
-        for j in range(1, n + 1) for first in component(j)
-        for rest in _concatenations(n - j, component)))
+def _grown(n, takers):
+    """Sorted partitions of [n]: each one of [n-1] of the same family
+    with n added as a singleton or to one of the blocks `takers` names.
+    n joins a noncrossing partition without a crossing exactly at a
+    block that no block encloses, and an interval partition at its last
+    block."""
+    if n == 1:
+        return (((1,),),)
+    out = []
+    for pi in _grown(n - 1, takers):
+        out.append(pi + ((n,),))
+        out += [pi[:i] + (pi[i] + (n,),) + pi[i + 1:] for i in takers(pi)]
+    return tuple(sorted(out))
 
 
 @lru_cache(maxsize=None)
@@ -123,15 +144,11 @@ def _irreducible(n):
     if n == 1:
         return (((1,),),)
     return tuple(sorted((pi[0] + (n,),) + pi[1:]
-                        for pi in _concatenations(n - 1, _irreducible)))
-
-
-def _one_block(n):
-    return ((tuple(range(1, n + 1)),),)
+                        for pi in _grown(n - 1, _outer_blocks)))
 
 
 def noncrossing_partitions(n):
-    return list(_concatenations(_check_size(n), _irreducible))
+    return list(_grown(_check_size(n), _outer_blocks))
 
 
 def irreducible_partitions(n):
@@ -139,7 +156,7 @@ def irreducible_partitions(n):
 
 
 def interval_partitions(n):
-    return list(_concatenations(_check_size(n), _one_block))
+    return list(_grown(_check_size(n), _last_block))
 
 
 def enumerate_partitions(n, cls='all'):
@@ -178,40 +195,61 @@ def siblings(nest):
     return kids
 
 
+def _mask(block):
+    m = 0
+    for x in block:
+        m |= 1 << x
+    return m
+
+
+def _bits(m):
+    """Indices of the set bits of m, lowest first."""
+    out = []
+    while m:
+        low = m & -m
+        out.append(low.bit_length() - 1)
+        m ^= low
+    return out
+
+
 def join_nc(pi, rho):
-    """Least upper bound of two noncrossing partitions of [n] in NC(n):
-    merge to the common coarsening, then merge crossing blocks until
-    noncrossing."""
+    """Least upper bound of two noncrossing partitions of [n] in NC(n),
+    on blocks held as int masks: merge each block of rho with the blocks
+    it meets, then merge crossing blocks until none cross.
+
+    The crossings are merged in one scan in order of minima, with a
+    stack of the blocks whose span holds the current minimum. A block b
+    lies in one gap of the block on top exactly when the top has no
+    element inside b's span and closes after b; otherwise the two
+    cross, and b takes in the top. For disjoint masks, the top closes
+    before b opens when it is less than b's lowest bit, and after b
+    when it is greater than b.
+    """
     n = ground_size(pi)
     if ground_size(rho) != n:
         raise ValueError('ground set mismatch')
-    parent = list(range(n + 1))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-
-    for p in (pi, rho):
-        for b in p:
-            for x in b[1:]:
-                union(b[0], x)
-
-    while True:
-        groups = {}
-        for x in range(1, n + 1):
-            groups.setdefault(find(x), []).append(x)
-        cur = normalize(groups.values())
-        crossing = _scan(cur)[1]
-        if crossing is None:
-            return cur
-        union(crossing[0][0], crossing[1][0])
+    blocks = [_mask(b) for b in pi]
+    for b in rho:
+        m = _mask(b)
+        met = [c for c in blocks if c & m]
+        if len(met) > 1:  # else b lies in one block already
+            blocks = [c for c in blocks if not c & m]
+            for c in met:
+                m |= c
+            blocks.append(m)
+    blocks.sort(key=lambda m: m & -m)
+    stack, done = [], []
+    for b in blocks:
+        low = b & -b
+        while stack and stack[-1] < low:
+            done.append(stack.pop())
+        while stack and (stack[-1] & ((1 << b.bit_length()) - low)
+                         or stack[-1] < b):
+            b |= stack.pop()
+            low = b & -b
+        stack.append(b)
+    return tuple(tuple(_bits(m))
+                 for m in sorted(done + stack, key=lambda m: m & -m))
 
 
 def refines(pi, rho):

@@ -187,27 +187,24 @@ def test_is_monotone_matches_definition():
                     [pi for pi in mono if sp.is_irreducible(pi)]
 
 
-# The four-predicate filter over NC(n), the triple-scan hasse and the
-# labeled classes as first written, kept unchanged as the reference for
-# the generated adapted classes, for covers taken from up-sets and for
-# the monotone labeled class taken from the monotone class.
+# The filter over NC(n), the triple-scan hasse and the labeled classes
+# as first written, kept as the reference for the generated adapted
+# classes, for covers taken from up-sets or pair bitsets and for the
+# monotone labeled class taken from the monotone class. The filter
+# tests adaptedness once per partition and monotonicity only on the
+# adapted ones, and reads irreducibility off each class.
 
-def frozen_enumerate_adapted(w, cls='all'):
-    """Adapted partitions of w, as a filter over the noncrossing
-    partitions of [n]. Classes: all, irr, monotone, monotone_irr."""
+def frozen_adapted_classes(w):
+    """The adapted partitions of w of each class (all, irr, monotone,
+    monotone_irr), as a filter over the noncrossing partitions of [n]."""
     w = tuple(w)
-    n = len(w)
-    preds = {
-        'all': lambda p: ad.is_adapted(p, w),
-        'irr': lambda p: ad.is_adapted(p, w) and sp.is_irreducible(p),
-        'monotone': lambda p: ad.is_monotone(p, w),
-        'monotone_irr':
-            lambda p: ad.is_monotone(p, w) and sp.is_irreducible(p),
-    }
-    if cls not in preds:
-        raise ValueError(f'unknown class {cls!r}')
-    pred = preds[cls]
-    return [p for p in sp.noncrossing_partitions(n) if pred(p)]
+    adapted = [p for p in sp.noncrossing_partitions(len(w))
+               if ad.is_adapted(p, w)]
+    monotone = [p for p in adapted if ad.is_monotone(p, w)]
+    return {'all': adapted,
+            'irr': [p for p in adapted if sp.is_irreducible(p)],
+            'monotone': monotone,
+            'monotone_irr': [p for p in monotone if sp.is_irreducible(p)]}
 
 
 def frozen_hasse(vertices, leq):
@@ -256,9 +253,9 @@ def test_enumerate_adapted_matches_frozen_filter():
              if n < 7 or wd.is_motzkin(w)]
     cases += wd.enumerate_words(8)
     for w in cases:
+        want = frozen_adapted_classes(w)
         for cls in ('all', 'irr', 'monotone', 'monotone_irr'):
-            assert ad.enumerate_adapted(w, cls) == \
-                frozen_enumerate_adapted(w, cls), (w, cls)
+            assert ad.enumerate_adapted(w, cls) == want[cls], (w, cls)
     with pytest.raises(ValueError, match='unknown class'):
         ad.enumerate_adapted((1, 1), 'crossing')
     with pytest.raises(ValueError, match='n must be >= 1'):
@@ -269,8 +266,9 @@ def test_hasse_matches_frozen():
     for n in range(1, 7):
         for w in wd.enumerate_words(n):
             verts = ad.enumerate_adapted(w, 'all')
-            assert ad.hasse(verts, sp.refines) == \
-                frozen_hasse(verts, sp.refines), w
+            want = frozen_hasse(verts, sp.refines)
+            assert ad.hasse(verts, sp.refines) == want, w
+            assert ad.hasse_adapted(w) == want, w
     for n in range(1, 5):
         for irr in (False, True):
             verts = ad.poset_ncn(n, irr)

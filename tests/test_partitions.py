@@ -79,7 +79,8 @@ def test_format_partition():
 
 
 # Oracles written from the definitions; they share no code with the
-# stack scan behind is_noncrossing, nesting and join_nc.
+# stack scan behind is_noncrossing and nesting, nor with the block-mask
+# scan of join_nc.
 
 def crosses(pi):
     """Some a < b < c < d with a, c in one block and b, d in another."""
@@ -136,6 +137,61 @@ def test_join_matches_brute_force():
                 least = [v for v in uppers
                          if all(coarsens(u, v) for u in uppers)]
                 assert [sp.join_nc(pi, rho)] == least, (pi, rho)
+
+
+# join_nc as first written, by union-find on elements and a fresh
+# canonical form and crossing scan after every merge, kept as the
+# reference for the join on block masks.
+
+def frozen_join_nc(pi, rho):
+    n = sp.ground_size(pi)
+    if sp.ground_size(rho) != n:
+        raise ValueError('ground set mismatch')
+    parent = list(range(n + 1))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def union(a, b):
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[ra] = rb
+
+    for p in (pi, rho):
+        for b in p:
+            for x in b[1:]:
+                union(b[0], x)
+
+    while True:
+        groups = {}
+        for x in range(1, n + 1):
+            groups.setdefault(find(x), []).append(x)
+        cur = sp.normalize(groups.values())
+        crossing = sp._scan(cur)[1]
+        if crossing is None:
+            return cur
+        union(crossing[0][0], crossing[1][0])
+
+
+def test_join_matches_frozen():
+    # every pair of NC(6), and every pair of set partitions to n=5,
+    # whose join is the noncrossing closure of their common coarsening
+    nc = sp.noncrossing_partitions(6)
+    pairs = [(pi, rho) for pi in nc for rho in nc]
+    for n in range(1, 6):
+        every = sp.enumerate_all(n)
+        pairs += [(pi, rho) for pi in every for rho in every]
+    for pi, rho in pairs:
+        assert sp.join_nc(pi, rho) == frozen_join_nc(pi, rho), (pi, rho)
+    # blocks in any order, as lists
+    assert sp.join_nc([[4, 2], [3, 1]], [[1], [2], [3], [4]]) == \
+        frozen_join_nc([[4, 2], [3, 1]], [[1], [2], [3], [4]]) == \
+        ((1, 2, 3, 4),)
+    with pytest.raises(ValueError, match='ground set mismatch'):
+        sp.join_nc(((1, 2),), ((1,), (2,), (3,)))
 
 
 def test_generated_families_match_filters():
