@@ -7,6 +7,7 @@ splits Int(w), labeled variants, the depth-word bijection eta and the
 poset over all pairs (partition, word).
 """
 
+from bisect import bisect_left
 from functools import lru_cache
 from itertools import combinations, product
 from operator import le
@@ -26,13 +27,6 @@ def _block_ok(w, block):
     return all(abs(a - b) <= 1 for a, b in zip(v, v[1:]))
 
 
-def _bridge(w, block, outer):
-    # the two letters of the nearest outer block bracketing the block
-    left = max(p for p in outer if p < block[0])
-    right = min(p for p in outer if p > block[-1])
-    return (w[left - 1], w[right - 1])
-
-
 def _adapted_nesting(pi, w):
     """The nesting map of pi if pi is adapted to w, else None."""
     pi = tuple(tuple(b) for b in pi)
@@ -44,24 +38,30 @@ def _adapted_nesting(pi, w):
         return None
     if not all(_block_ok(w, b) for b in pi):
         return None
+    letter = {}
     for v, (outer, depth) in nest.items():
         h = w[v[0] - 1]
         if depth > h:
             return None
-        if outer is not None and h < wd.bridge_height(_bridge(w, v, outer)):
-            return None
-    for group in sp.siblings(nest).values():
-        for u, v in zip(group, group[1:]):
-            if w[u[0] - 1] != w[v[0] - 1]:
+        gap = None
+        if outer is not None:
+            # the gap of the nearest outer block holding v, bracketed by
+            # the two letters of its bridge
+            i = bisect_left(outer, v[0])
+            gap = (outer, i)
+            if h < wd.bridge_height((w[outer[i - 1] - 1], w[outer[i] - 1])):
                 return None
+        if letter.setdefault(gap, h) != h:
+            return None
     return nest
 
 
 def is_adapted(pi, w):
     """Adaptedness of a noncrossing partition to the word w: every block
     subword is a Motzkin word, depths are bounded by subword heights,
-    subword heights dominate bridge heights, and neighboring blocks (with
-    a common nearest outer block) have equal heights."""
+    subword heights dominate bridge heights, and neighboring blocks (in
+    one gap of a common nearest outer block, or all at top level) have
+    equal heights."""
     return _adapted_nesting(pi, tuple(w)) is not None
 
 
@@ -88,13 +88,14 @@ def enumerate_adapted(w, cls='all'):
     monotone_irr), generated block by block.
 
     The blocks under one outer block (or at top level) that lie in one
-    of its gaps form a sibling run on an interval a..b: a block starts
-    at a, grows by letters that keep its subword Motzkin, with each gap
-    it leaves filled by a run one level deeper, and is followed by the
-    run on the rest of a..b. Every condition of adaptedness is checked
-    on the block that it concerns, so nothing is built and then
-    rejected. Monotone blocks are constant at the height their depth
-    fixes; the irr classes close the top-level block only at n.
+    of its gaps form a sibling run on an interval a..b, all of the
+    letter at a: a block starts at a, grows by letters that keep its
+    subword Motzkin, with each gap it leaves filled by a run one level
+    deeper, and is followed by the run on the rest of a..b. Every
+    condition of adaptedness is checked on the block that it concerns,
+    so nothing is built and then rejected. Monotone blocks are constant
+    at the height their depth fixes; the irr classes close the top-level
+    block only at n.
     """
     w = tuple(w)
     if cls not in ('all', 'irr', 'monotone', 'monotone_irr'):
@@ -112,9 +113,8 @@ def enumerate_adapted(w, cls='all'):
             return ()
         out = []
 
-        def grow(block, child, fills):
-            # child: the letter of the inner blocks, fixed by the first
-            # gap; fills: for each gap so far, the runs that fill it
+        def grow(block, fills):
+            # fills: for each gap so far, the runs that fill it
             last = block[-1]
             x = w[last - 1]
             if x == h and (last == b or not (irr and depth == 1)):
@@ -127,14 +127,14 @@ def enumerate_adapted(w, cls='all'):
                 if y < h or abs(y - x) > 1 or monotone and y != h:
                     continue
                 if q == last + 1:
-                    grow(block + (q,), child, fills)
+                    grow(block + (q,), fills)
                     continue
-                c = w[last] if child is None else child
-                gap = run(last + 1, q - 1, c, depth + 1, max(x, y))
+                # the gap's blocks all take its first letter
+                gap = run(last + 1, q - 1, w[last], depth + 1, max(x, y))
                 if gap:
-                    grow(block + (q,), c, fills + (gap,))
+                    grow(block + (q,), fills + (gap,))
 
-        grow((a,), None, ())
+        grow((a,), ())
         return tuple(out)
 
     # run yields the blocks of each partition in order of their minima
@@ -318,11 +318,6 @@ def poset_ncn(n, irr=False):
     return verts
 
 
-def poset_leq(a, b):
-    (pi, w), (rho, u) = a, b
-    return all(map(le, w, u)) and sp.refines(pi, rho)
-
-
 def _covers(vertices, up):
     """Cover edges from the strict up-sets, given as int bitsets over
     vertex indices: b covers a when b lies in the up-set of a and in the
@@ -336,33 +331,38 @@ def _covers(vertices, up):
     return edges
 
 
-def hasse(vertices, leq):
-    """Cover relations of a finite poset given by a comparison predicate,
-    from each vertex's strict up-set as an int bitset."""
-    return _covers(vertices, [
-        sum(1 << j for j, b in enumerate(vertices) if b != a and leq(a, b))
-        for a in vertices])
-
-
-def hasse_adapted(w, cls='all'):
-    """Cover edges of NC(w) (refinement order at fixed word).
+def hasse(vertices):
+    """Cover edges of (partition, word) pairs, ordered by refinement of
+    the partitions and the letterwise order of the words.
 
     A partition's pairs x < y in one block determine it, and pi refines
-    rho exactly when the pairs of pi are pairs of rho. So the up-set of
-    pi is the intersection, over its pairs, of the bitsets of the
-    vertices holding that pair (every vertex, for the partition into
-    singletons)."""
-    verts = enumerate_adapted(w, cls)
-    pairs = [[q for b in pi for q in combinations(b, 2)] for pi in verts]
-    holding = {}
-    for i, ps in enumerate(pairs):
+    rho exactly when the pairs of pi are pairs of rho. So the strict
+    up-set of (pi, w), as an int bitset over vertex indices, is the AND,
+    over the pairs of pi, of the bitsets of the vertices holding that
+    pair, and of the bitset of the vertices whose word is letterwise
+    >= w."""
+    pairs = [[q for b in pi for q in combinations(b, 2)]
+             for pi, _w in vertices]
+    holding, by_word = {}, {}
+    for i, ((_pi, w), ps) in enumerate(zip(vertices, pairs)):
+        bit = 1 << i
         for q in ps:
-            holding[q] = holding.get(q, 0) | 1 << i
-    every = (1 << len(verts)) - 1
+            holding[q] = holding.get(q, 0) | bit
+        by_word[w] = by_word.get(w, 0) | bit
+    above = {w: sum(bits for u, bits in by_word.items() if all(map(le, w, u)))
+             for w in by_word}
     up = []
-    for i, ps in enumerate(pairs):
-        s = every & ~(1 << i)
+    for i, ((_pi, w), ps) in enumerate(zip(vertices, pairs)):
+        s = above[w] & ~(1 << i)
         for q in ps:
             s &= holding[q]
         up.append(s)
-    return _covers(verts, up)
+    return _covers(vertices, up)
+
+
+def hasse_adapted(w, cls='all'):
+    """Cover edges of NC(w) (refinement order at fixed word): `hasse` on
+    the vertices of one word."""
+    w = tuple(w)
+    verts = [(pi, w) for pi in enumerate_adapted(w, cls)]
+    return [(a, b) for (a, _w), (b, _u) in hasse(verts)]

@@ -19,12 +19,12 @@ from . import replicas as rp
 from . import words as wd
 from .cumulants import format_belement, format_poly
 
-# Largest vertex set `--dot` draws. `poset --dot` compares every pair
-# of vertices: 1,392 vertices (poset --n 7) take about 4 s on a 2-core
-# x86-64 machine (Python 3.11), and poset --n 8 has 6,012. `adapted
-# --dot` intersects pair bitsets instead: 1,024 vertices (adapted
-# --word 1^11) take 0.2 s from a fresh process.
-HASSE_MAX_VERTICES = 1500
+# Largest vertex set `--dot` draws within about 4 s. Both commands
+# intersect pair bitsets; from a fresh process on a 2-core x86-64
+# machine (Python 3.11): poset --n 8 (6,282 vertices) 1.6-2.0 s,
+# adapted --word 1^13 (4,096) 1.3 s, adapted --word 1^14 (8,192)
+# 3.9-4.7 s, poset --n 9 --irr (13,057) 6.2-6.7 s.
+HASSE_MAX_VERTICES = 6500
 # Longest monomial `convolve` takes, per route, as (one distinct name,
 # more than one): the last length whose boxplus_total, from a fresh
 # process, finishes within about 20 s on a 2-core x86-64 machine (Python
@@ -143,8 +143,7 @@ def cmd_poset(args):
     verts = ad.poset_ncn(args.n, irr=args.irr)
     if args.dot:
         _check_hasse_size(verts)
-        edges = ad.hasse(verts, ad.poset_leq)
-        _write_dot(args.dot, verts, edges,
+        _write_dot(args.dot, verts, ad.hasse(verts),
                    lambda v: f'{sp.format_partition(v[0])} {wd.format_word(v[1])}',
                    lambda v: len(v[0]))
     if args.count:

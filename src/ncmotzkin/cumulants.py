@@ -284,10 +284,6 @@ def transform(src, dst, label, args):
     return table[(src, dst)](label, tuple(args))
 
 
-def univariate(n, var='x'):
-    return (var,) * n
-
-
 def motzkin_k(w, args):
     """Scalar Motzkin cumulant k_w. The arguments are (variable, label)
     pairs; the variable '1' is the unit. Vanishes unless all labels
@@ -334,7 +330,7 @@ def K_closed_form(w):
     return out
 
 
-def render_nested(pi, w, head='B'):
+def render_nested(pi, w):
     """Render the nested cumulant of a partition: each inner block's
     cumulant value attaches to the right of the parent argument
     immediately preceding the block."""
@@ -346,7 +342,7 @@ def render_nested(pi, w, head='B'):
         parts = [f'a{p}' for p in b]
         for c in children[b]:
             parts[bisect_left(b, c[0]) - 1] += render_block(c)
-        return f'{head}_{sub}(' + ','.join(parts) + ')'
+        return f'B_{sub}(' + ','.join(parts) + ')'
 
     return ''.join(render_block(b) for b in children[None])
 

@@ -39,3 +39,14 @@ def test_replica_suite_names_failing_sub_check(monkeypatch):
         '_check_nesting(5) failed: nesting lemma fails at n=5; reproduce '
         'with python -c "from ncmotzkin import acceptance as a; '
         'print(a._check_nesting(5))"')
+
+
+def test_process_pool_prints_the_serial_lines():
+    def lines(jobs):
+        out = []
+        assert acceptance.run('quick', out.append, jobs)
+        return [re.sub(r'\d+\.\d+s\b', '#s', line) for line in out]
+
+    serial = lines(1)
+    assert len(serial) == len(acceptance.CRITERIA) + 1
+    assert lines(2) == serial

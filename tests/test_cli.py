@@ -71,10 +71,13 @@ def test_adapted_dot(capsys, tmp_path):
 
 def test_dot_vertex_limit(capsys, tmp_path, monkeypatch):
     path = tmp_path / 'out.dot'
-    code, out, err = run(capsys, 'poset', '--n', '8', '--dot', str(path))
+    code, out, _ = run(capsys, 'poset', '--n', '8', '--count')
+    assert code == 0 and out == '6282\n'
+    code, out, err = run(capsys, 'poset', '--n', '9', '--irr', '--dot',
+                         str(path))
     assert code == 1 and out == '' and not path.exists()
-    assert err == 'error: --dot draws at most 1500 vertices, ' \
-        'this poset has 6012\n'
+    assert err == 'error: --dot draws at most 6500 vertices, ' \
+        'this poset has 13057\n'
     monkeypatch.setattr(cli, 'HASSE_MAX_VERTICES', 10)
     code, out, err = run(capsys, 'adapted', '--word', '12221', '--dot',
                          str(path), '--count')

@@ -183,6 +183,46 @@ def test_refinement_coefficient_matches_membership():
                         == refinement_by_membership(pi_prime, pi, w)
 
 
+def restrictions_irreducible(x, y):
+    """x refines y, and x restricted to each block of y, relabelled
+    1..|V|, is irreducible: the order of NC_irr(w) written without any
+    adaptedness predicate."""
+    if not sp.refines(x, y):
+        return False
+    for v in y:
+        index = {p: i + 1 for i, p in enumerate(v)}
+        if not sp.is_irreducible(sp.normalize(
+                [tuple(index[p] for p in b) for b in x if b[0] in index])):
+            return False
+    return True
+
+
+def test_mobius_function_of_irreducible_lattices():
+    # mu(x, x) = 1 and mu(x, y) = -sum of mu(x, z) over x <= z < y on
+    # NC_irr(w): mu(pi, 1_hat) is (-1)^(|pi| - 1), and mu(x, y) is the
+    # coefficient of the nested B-term of x in the nested K of y
+    words = [w for n in range(1, 8) for w in wd.enumerate_words(n)]
+    assert len(words) == 89
+    pairs = 0
+    for w in words:
+        verts = ad.enumerate_adapted(w, 'irr')
+        leq = {(x, y) for x in verts for y in verts
+               if restrictions_irreducible(x, y)}
+        for x in verts:
+            mu = {}
+            # finer partitions first, so every z < y comes before y
+            for y in sorted((y for y in verts if (x, y) in leq), key=len,
+                            reverse=True):
+                mu[y] = 1 if y == x else \
+                    -sum(m for z, m in mu.items() if (z, y) in leq)
+                assert mu[y] == cm.refinement_coefficient(y, x, w), \
+                    (w, x, y)
+                pairs += 1
+            assert mu[(tuple(range(1, len(w) + 1)),)] == \
+                (-1) ** (len(x) - 1), (w, x)
+    assert pairs == 3383
+
+
 def test_format_poly_deterministic():
     p = beta_sym(0, ('x', 'y')) - 2 * beta_sym(0, ('x',))
     assert cm.format_poly(p) == '-2*beta(x) + beta(x,y)'

@@ -412,7 +412,9 @@ def test_K_w_rep_matches_uncached():
                     (w, ell)
                 pairs += 1
     assert pairs == 778
-    # the 32 cases at n=6 where K_w_rep and K_closed_rep disagree
+    # the 32 cases at n=6 where K_w_rep and K_closed_rep disagree when
+    # the sibling blocks of NC(w) must have equal letters per outer
+    # block instead of per gap of it
     for w, labelings in N6_DISAGREEMENTS.items():
         for ell in labelings.split():
             ell = tuple(map(int, ell))
@@ -461,6 +463,22 @@ N6_DISAGREEMENTS = {
                         '122221 211112 211122 212112 212122 221212 221222 '
                         '222212 222222',
 }
+
+
+def test_K_w_rep_matches_closed_forms_at_six_and_seven():
+    # every labeling of every word over 1..3 at n=6, so mixed-label
+    # cumulants must vanish, and constant labels over 1..4 at n=7: the
+    # first lengths where NC(w) under a sibling rule per outer block,
+    # not per gap of it, loses partitions and these three disagree
+    cases = [(w, ell) for w in ac._am_words(6)
+             for ell in iproduct((1, 2), repeat=6)]
+    cases += [(w, (j,) * 7) for w in ac._am_words(7, 4) for j in (1, 2)]
+    assert len(cases) == 2432 + 268
+    for w, ell in cases:
+        args = ac._replicas(w, ell)
+        names = ac._vars(len(w), 'v')
+        assert rp.K_w_rep(w, args) == rp.K_closed_rep(w, args) == \
+            rp.K_closed_form_rep(w, names, ell), (w, ell)
 
 
 def test_belement_product_matches_three_products():
