@@ -168,13 +168,19 @@ def zero_hat(w):
 
 def admissible_coarsenings(pi, w):
     """One-step coarsenings of an adapted partition that stay adapted:
-    merging two blocks with a common nearest outer (juxtaposition;
-    blocks lying between the pair become nested) or merging a block
-    into its nearest outer (insertion)."""
+    merging two blocks in one gap of a common nearest outer block, or
+    two top-level blocks (juxtaposition; blocks lying between the pair
+    become nested), or merging a block into its nearest outer
+    (insertion). Two blocks in different gaps of their outer block would
+    cross it once merged, so they are never paired."""
     pi = sp.normalize(pi)
     w = tuple(w)
     nest = sp.nesting(pi)
-    candidates = [(u, v) for group in sp.siblings(nest).values()
+    gaps = {}
+    for v, (outer, _d) in nest.items():
+        key = None if outer is None else (outer, bisect_left(outer, v[0]))
+        gaps.setdefault(key, []).append(v)
+    candidates = [(u, v) for group in gaps.values()
                   for i, u in enumerate(group) for v in group[i + 1:]]
     candidates += [(v, outer) for v, (outer, _d) in nest.items()
                    if outer is not None]

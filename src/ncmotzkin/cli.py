@@ -29,11 +29,14 @@ HASSE_MAX_VERTICES = 6500
 # more than one): the last length whose boxplus_total, from a fresh
 # process, finishes within about 20 s on a 2-core x86-64 machine (Python
 # 3.11); each length costs 3 to 9 times the one before. monotone, one
-# name: n=12 9.1 s; two alternating names: n=11 7.0 s, n=12 31 s; three:
-# n=11 8.0 s; all distinct: n=11 12.4 s. replica, any names: n=8 1.8-2.8 s,
-# n=9 11.9-13.2 s. nested, any names: n=7 3.5-3.7 s; one name n=8 18.7 s.
+# name: n=12 7.4-9.2 s; two alternating names: n=11 6.0-8.1 s, n=12 31 s;
+# three: n=11 10.5 s; all distinct: n=11 10.5-11.9 s; with the runs
+# cached up to 1,024, these four peak at 28, 39, 51 and 59 MB RSS.
+# replica, any names: n=8 1.8-2.8 s, n=9 11.9-13.2 s. nested, one name:
+# n=8 12.1-12.5 s; two or three names: n=8 15.0-15.4 s; all distinct:
+# n=8 15.6-15.9 s (55 MB).
 CONVOLVE_MAX_LENGTH = {'monotone': (12, 11), 'replica': (9, 9),
-                       'nested': (7, 7)}
+                       'nested': (8, 8)}
 
 
 def _word_json(w):

@@ -292,65 +292,122 @@ def _w_part(w, pattern, route):
             out = out + rp.zeta_E(x)
         return out
     if route == 'monotone':
-        return _monotone_part(w, pattern)
+        return _monotone_run(w, pattern, None)
     if route == 'nested':
-        # one memo for the whole part: its atoms are the 2n replicas
-        # (position, label), shared by every partition and labeling
-        nested_K = rp.Forests({
-            (p, l): (j, rp.replica(v, l, j))
-            for p, (v, j) in enumerate(zip(pattern, w), start=1)
-            for l in (1, 2)})
-        out = ZERO
-        for pi in ad.enumerate_adapted(w, 'all'):
-            plan = rp.nesting_plan(pi)
-            for ell in ad.labelings_of(pi)['L']:
-                forest = tuple(((p, l), ()) for p, l in enumerate(ell, 1))
-                out = out + nested_K.nested(plan, forest).zeta()
-        return out
+        return _nested_part(w, pattern)
     raise ValueError(f'unknown route {route!r}')
 
 
-def _monotone_part(w, names):
-    """The monotone route: the sum over the labeled monotone partitions
-    of w of their products of Boolean cumulants, summed run by run.
+def _nested_part(w, names):
+    """The nested route: the sum over the adapted partitions of w and
+    their block-constant labelings of zeta of the nested Motzkin
+    cumulant, summed run by run.
 
-    run(a, b, label) sums over the partitions of a..b into sibling
-    blocks of the letter h = w_a. Since w is a reduced Motzkin word, a
-    run ends with h and has no letter below it. A block starts at a and
-    steps to the next letter h; the letters it steps over are a gap,
-    filled by a run at h + 1 whose label is the opposite of the block's.
-    It may close where the next letter is h (or at b), followed by the
-    run on the rest. At top level (label None) each block picks its own
-    label; below, every sibling takes the one opposite to its outer
-    block's. This is the monotone case of adapted.enumerate_adapted's
-    run."""
+    K_w is multilinear and the values of the outer blocks multiply, so
+    the sum over the fillings and labels of each gap moves inside the
+    argument of the position just before the gap. run(a, b, h, depth,
+    bridge) is that sum, as a BElement, over the partitions of a..b into
+    sibling blocks, grown by the rules of adapted.enumerate_adapted's
+    run for class 'all'; None when there is no such partition. A block
+    is summed over its two labels; its atom at a position followed by a
+    gap is the replica times the gap's run, embedded. The block's sum
+    multiplies the run of the rest. K itself is Forests' recursion,
+    memoized for the whole part on atom keys (position, label, key of
+    the gap's run or None)."""
+    atoms = {(p, l, None): (j, rp.replica(v, l, j))
+             for p, (v, j) in enumerate(zip(names, w), start=1)
+             for l in (1, 2)}
+    forests = rp.Forests(atoms)
+
+    def K(block, l):
+        return forests.value(tuple([((p, l, g), ()) for p, g in block]))
 
     @lru_cache(maxsize=None)
-    def run(a, b, label):
-        h = w[a - 1]
-        labels = (1, 2) if label is None else (label,)
-        # fills[i]: the product of the block's gaps when it takes labels[i]
-        fills = [ONE] * len(labels)
-        block = [a]
-        out = ZERO
-        while True:
-            last = block[-1]
-            if last == b or w[last] == h:
-                rest = ONE if last == b else run(last + 1, b, label)
-                args = _restrict(names, block)
-                out = out + rest * _sum(moment_to_boolean(l, args) * f
-                                        for l, f in zip(labels, fills))
-            if last == b:
-                return out
-            q = last + 1
-            while w[q - 1] > h:
-                q += 1
-            if q > last + 1:
-                fills = [f * run(last + 1, q - 1, 3 - l)
-                         for f, l in zip(fills, labels)]
-            block.append(q)
+    def run(a, b, h, depth, bridge):
+        if w[a - 1] != h or depth > h or h < bridge:
+            return None
+        out = None
 
-    return run(1, len(w), None)
+        def grow(block):
+            # block: (position, key of the run in the gap after it or None)
+            nonlocal out
+            last = block[-1][0]
+            x = w[last - 1]
+            if x == h:
+                rest = run(last + 1, b, h, depth, bridge) if last < b \
+                    else rp.B_ONE
+                if rest is not None:
+                    value = rest * (K(block, 1) + K(block, 2))
+                    out = value if out is None else out + value
+            for q in range(last + 1, b + 1):
+                y = w[q - 1]
+                if y < h or abs(y - x) > 1:
+                    continue
+                if q == last + 1:
+                    grow(block + ((q, None),))
+                    continue
+                gap = (last + 1, q - 1, w[last], depth + 1, max(x, y))
+                fill = run(*gap)
+                if fill is None:
+                    continue
+                if (last, 1, gap) not in atoms:
+                    fill = fill.embed()
+                    for l in (1, 2):
+                        atoms[last, l, gap] = (x, atoms[last, l, None][1]
+                                               * fill)
+                grow(block[:-1] + ((last, gap), (q, None)))
+
+        grow(((a, None),))
+        return out
+
+    return run(1, len(w), w[0], 1, 0).zeta()
+
+
+@lru_cache(maxsize=1024)
+def _monotone_run(w, names, label):
+    """The monotone route, run by run: the sum of the products of Boolean
+    cumulants over the labeled partitions of the letters w, with names,
+    into sibling blocks of the letter h = w[0]. The part of a reduced
+    Motzkin word w is its run at label None.
+
+    A run of a reduced Motzkin word ends with h and has no letter below
+    it. A block starts at the first position and steps to the next
+    letter h; the letters it steps over are a gap, filled by a run at
+    h + 1 whose label is the opposite of the block's. It may close where
+    the next letter is h (or at the end), followed by the run on the
+    rest. At top level (label None) each block picks its own label;
+    below, every sibling takes the one opposite to its outer block's.
+    This is the monotone case of adapted.enumerate_adapted's run.
+
+    A run depends only on its letters, names and label, so every word
+    and pattern that holds it shares it. Bounded: a convolve benchmark
+    pass asks for about 115 distinct runs, the total of x^11 for 4,862.
+    A bound of 4,096 saved little time on the totals at the length
+    limits and cost about 20 MB more peak RSS."""
+    h = w[0]
+    n = len(w)
+    labels = (1, 2) if label is None else (label,)
+    # fills[i]: the product of the block's gaps when it takes labels[i]
+    fills = [ONE] * len(labels)
+    block = [1]
+    out = ZERO
+    while True:
+        last = block[-1]
+        if last == n or w[last] == h:
+            rest = ONE if last == n else _monotone_run(w[last:], names[last:],
+                                                       label)
+            args = _restrict(names, block)
+            out = out + rest * _sum(moment_to_boolean(l, args) * f
+                                    for l, f in zip(labels, fills))
+        if last == n:
+            return out
+        q = last + 1
+        while w[q - 1] > h:
+            q += 1
+        if q > last + 1:
+            fills = [f * _monotone_run(w[last:q - 1], names[last:q - 1], 3 - l)
+                     for f, l in zip(fills, labels)]
+        block.append(q)
 
 
 @lru_cache(maxsize=128)

@@ -364,6 +364,7 @@ def _belement(comp):
 
 
 B_ZERO = BElement()
+B_ONE = BElement({0: 1})
 
 
 def _branch_strings(string):
@@ -553,7 +554,7 @@ class Forests:
     def nested(self, plan, forest):
         """The nested cumulant of a partition, given by its plan, on the
         forest's arguments: the product over its outer blocks."""
-        out = BElement({0: 1})
+        out = B_ONE
         for tree in plan:
             out = out * self.value(_graft(tree, forest))
         return out

@@ -397,6 +397,49 @@ def test_parts_match_frozen_build():
                     w, names, route), (w, names, route)
 
 
+def frozen_nested_part(w, pattern):
+    # the nested route as written before it was summed over sibling runs:
+    # every adapted partition, every block-constant labeling, one memo
+    nested_K = rp.Forests({
+        (p, l): (j, rp.replica(v, l, j))
+        for p, (v, j) in enumerate(zip(pattern, w), start=1)
+        for l in (1, 2)})
+    out = ZERO
+    for pi in ad.enumerate_adapted(w, 'all'):
+        plan = rp.nesting_plan(pi)
+        for ell in ad.labelings_of(pi)['L']:
+            forest = tuple(((p, l), ()) for p, l in enumerate(ell, 1))
+            out = out + nested_K.nested(plan, forest).zeta()
+    return out
+
+
+def test_nested_part_matches_frozen_at_five_and_six():
+    # n=6 is the first length where the sibling rule per gap matters
+    for n in (5, 6):
+        for names in (('x',) * n, tuple(f'a{i + 1}' for i in range(n))):
+            for w in wd.enumerate_words(n):
+                got = cv.boxplus_w_sym(w, names, 'nested')
+                assert got == frozen_w_part(w, names, 'nested'), (w, names)
+                if n == 5:
+                    assert got == frozen_nested_part(w, names), (w, names)
+
+
+def test_shared_monotone_runs_give_the_same_part():
+    w = (1, 2, 2, 1, 2, 1)
+    pattern = ('#1', '#2', '#1', '#1', '#2', '#3')
+    build = cv._w_part.__wrapped__
+    cv._monotone_run.cache_clear()
+    first = build(w, pattern, 'monotone')
+    cv._monotone_run.cache_clear()
+    second = build(w, pattern, 'monotone')
+    assert first == second == frozen_monotone_part(w, pattern)
+    assert first is not second
+    # a second word reads the runs the first one left
+    hits = cv._monotone_run.cache_info().hits
+    build((1, 2, 2, 1, 1, 1), pattern, 'monotone')
+    assert cv._monotone_run.cache_info().hits > hits
+
+
 def test_parts_match_frozen_build_on_every_names_tuple():
     # repeated names, the unit and names that look like pattern names
     frozen = {}
