@@ -56,10 +56,17 @@ class Poly:
         return _poly(out)
 
     def __sub__(self, other):
-        return self + (-1) * other
+        if not isinstance(other, Poly):
+            return NotImplemented
+        out = dict(self.terms)
+        for mono, c in other.terms.items():
+            c = out.pop(mono, 0) - c
+            if c:
+                out[mono] = _num(c)
+        return _poly(out)
 
     def __neg__(self):
-        return (-1) * self
+        return _poly({m: -c for m, c in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, Poly):

@@ -216,12 +216,18 @@ def from_tableau(rows):
 
 
 def parse_word(text):
-    """Parse a word given as digits ('12321') or comma-separated letters."""
+    """Parse a word given as digits ('12321') or comma-separated letters.
+
+    Raises ValueError naming the first token that is not an integer.
+    """
     text = text.strip()
-    if ',' in text:
-        letters = tuple(int(t) for t in text.split(','))
-    else:
-        letters = tuple(int(c) for c in text)
+    letters = []
+    for t in text.split(',') if ',' in text else text:
+        try:
+            letters.append(int(t))
+        except ValueError:
+            raise ValueError(f'letters must be positive integers, got {t!r} '
+                             f'in {text!r}') from None
     return check_word(letters)
 
 

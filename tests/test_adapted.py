@@ -269,6 +269,85 @@ def test_enumerate_adapted_matches_frozen_filter():
         ad.enumerate_adapted(())
 
 
+# NC(w) written from its definition, one condition per function, with
+# its own nesting and no call into adapted: an oracle for the generator
+# that shares neither code nor predicate with it.
+
+def outer_blocks(pi, v):
+    """The blocks that enclose the block v."""
+    return [u for u in pi if u[0] < v[0] and v[-1] < u[-1]]
+
+
+def gap_of(pi, v):
+    """The nearest outer block of v and the position of that block just
+    before v; (None, None) at top level."""
+    outer = outer_blocks(pi, v)
+    if not outer:
+        return None, None
+    u = max(outer, key=lambda b: b[0])
+    return u, max(p for p in u if p < v[0])
+
+
+def motzkin_block_subwords(pi, w):
+    for v in pi:
+        sub = [w[p - 1] for p in v]
+        if sub[0] != sub[-1] or min(sub) != sub[0] or any(
+                abs(a - b) > 1 for a, b in zip(sub, sub[1:])):
+            return False
+    return True
+
+
+def depth_bounded(pi, w):
+    return all(1 + len(outer_blocks(pi, v)) <= w[v[0] - 1] for v in pi)
+
+
+def bridges_below(pi, w):
+    for v in pi:
+        u, left = gap_of(pi, v)
+        if u is not None:
+            right = min(p for p in u if p > v[-1])
+            if w[v[0] - 1] < max(w[left - 1], w[right - 1]):
+                return False
+    return True
+
+
+def equal_letters_per_gap(pi, w):
+    letter = {}
+    for v in pi:
+        if letter.setdefault(gap_of(pi, v), w[v[0] - 1]) != w[v[0] - 1]:
+            return False
+    return True
+
+
+def adapted_by_definition(pi, w):
+    return all(cond(pi, w) for cond in (
+        motzkin_block_subwords, depth_bounded, bridges_below,
+        equal_letters_per_gap))
+
+
+def test_enumerate_adapted_matches_definition():
+    words = 0
+    for n in range(1, 8):
+        family = sp.noncrossing_partitions(n)
+        for w in wd.enumerate_words(n):
+            assert ad.enumerate_adapted(w, 'all') == [
+                pi for pi in family if adapted_by_definition(pi, w)], w
+            words += 1
+    assert words == 89
+    # each condition rejects a partition the others accept
+    w = (1, 2, 2, 1)
+    for pi, cond in ((((1, 2, 3, 4),), None),
+                     (((1, 2), (3, 4)), motzkin_block_subwords),
+                     (((1, 4), (2,), (3,)), None),
+                     (((1, 4), (2, 3)), None)):
+        assert adapted_by_definition(pi, w) == (cond is None), pi
+        if cond is not None:
+            assert not cond(pi, w)
+    assert not depth_bounded(((1, 4), (2, 3)), (1, 1, 1, 1))
+    assert not bridges_below(((1, 2, 4, 5), (3,)), (1, 2, 1, 2, 1))
+    assert not equal_letters_per_gap(((1,), (2, 3)), (1, 2, 2))
+
+
 def test_hasse_matches_frozen():
     for n in range(1, 7):
         for w in wd.enumerate_words(n):

@@ -173,6 +173,13 @@ def test_replicas_moment_bad_labels(capsys):
     assert 'error:' in err
 
 
+def test_bad_word_tokens_are_named(capsys):
+    for text, token in (('1,,2', "''"), ('1 2', "' '"), ('x', "'x'")):
+        code, out, err = run(capsys, 'adapted', '--word', text)
+        assert code == 1 and not out
+        assert f'got {token} in' in err and 'int()' not in err, err
+
+
 def test_convolve(capsys, tmp_path):
     mu = cv.univariate_distribution([0, 1, 0, 1])
     path = tmp_path / 'mu.json'

@@ -424,6 +424,38 @@ def test_nested_part_matches_frozen_at_five_and_six():
                     assert got == frozen_nested_part(w, names), (w, names)
 
 
+class CountingForests:
+    """Stand-in for replicas.Forests whose value of a forest is the
+    product over its atoms of the constant terms of the atom's Rep
+    coefficients, on the unit: 1 for a replica, and for a replica times
+    an embedded gap run the count that run carries. The nested part then
+    counts each block twice, once per label."""
+
+    def __init__(self, atoms, motzkin=True):
+        self.atoms = atoms
+
+    def value(self, forest):
+        out = 1
+        for atom, _kids in forest:
+            out *= sum(c.terms.get((), 0)
+                       for c in self.atoms[atom][1].terms.values())
+        return rp.BElement({0: out})
+
+
+def test_nested_runs_grow_exactly_the_adapted_partitions(monkeypatch):
+    # the sum of 2^|pi| over NC(w) checks every pruning rule of the run:
+    # a run that grows a block that is not adapted, even one whose nested
+    # cumulant vanishes, adds to the count
+    monkeypatch.setattr(rp, 'Forests', CountingForests)
+    words = 0
+    for n in range(1, 8):
+        for w in wd.enumerate_words(n):
+            want = sum(2 ** len(pi) for pi in ad.enumerate_adapted(w, 'all'))
+            assert cv._nested_part(w, ('x',) * n) == Poly.const(want), w
+            words += 1
+    assert words == 89
+
+
 def test_shared_monotone_runs_give_the_same_part():
     w = (1, 2, 2, 1, 2, 1)
     pattern = ('#1', '#2', '#1', '#1', '#2', '#3')

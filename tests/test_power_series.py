@@ -71,14 +71,14 @@ def seeded_moments(seed, n=N):
                             for _ in range(n)]
 
 
-def at(poly, m):
-    """A polynomial in the moment symbols of one variable, at the moments
-    m."""
+def at(poly, m, kind='m'):
+    """A polynomial in the symbols of one kind of one variable (moments
+    by default), at the values m."""
     total = Fraction(0)
     for mono, c in poly.terms.items():
         term = Fraction(c)
-        for kind, _label, args in mono:
-            assert kind == 'm'
+        for sym_kind, _label, args in mono:
+            assert sym_kind == kind
             term *= m[len(args)]
         total += term
     return total
@@ -105,6 +105,20 @@ def test_transform_matches_power_series(seed):
         args = ('x',) * n
         assert at(cm.transform('m', 'r', 1, args), m) == r[n], n
         assert at(cm.transform('m', 'beta', 2, args), m) == beta[n], n
+
+
+def test_free_decomposition_sums_to_free_cumulants():
+    # the k_w of the reduced words of length n sum to r_n in Boolean
+    # cumulants; here at seeded numbers, against r_n of M = 1/(1 - B)
+    parts = {n: list(cm.free_decomposition(n).values())
+             for n in range(1, 11)}
+    for seed in (6, 7):
+        rng = Random(seed)
+        beta = [0] + [Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+                      for _ in range(10)]
+        r = free_cumulants(moments_from_boolean(beta))
+        for n, ks in parts.items():
+            assert sum(at(k, beta, 'beta') for k in ks) == r[n], (seed, n)
 
 
 def convolved_moments(seed):

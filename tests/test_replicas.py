@@ -318,13 +318,27 @@ def frozen_rep_mul(x, y):
     return rp._rep({k: c for k, c in out.items() if c.terms})
 
 
-def test_rep_product_matches_uncached():
+def rep_elements():
+    """Rep operands of one and of several terms, with unit and other
+    coefficients, including one-term pairs whose product vanishes."""
+    a = m_sym(1, ('a',))
     elements = [rep('a', label, j) for j in (1, 2, 3) for label in (1, 2)]
     for j in (1, 2, 3):
         elements += [rp.p_proj(j), rp.e_proj(j), rp.REP_ONE - rp.p_proj(j)]
-    elements += [rp.REP_ONE, rp.REP_ZERO]
+    elements += [rp.REP_ONE, rp.REP_ZERO, a * rep('b', 1, 2),
+                 Fraction(-1, 2) * rp.e_proj(2),
+                 rep('a', 1, 1) * rep('b', 2, 2), (ONE - a) * rep('c', 2, 1),
+                 rp.p_proj(1) * a * rep('b', 2, 1), rp.REP_ONE - a * rp.REP_ONE]
+    return elements
+
+
+def test_rep_product_matches_uncached():
+    elements = rep_elements()
+    one_term = [x for x in elements if len(x.terms) == 1]
+    assert len(one_term) > 15
     for x, y in iproduct(elements, repeat=2):
         assert x * y == frozen_rep_mul(x, y)
+    assert any((x * y).is_zero() for x, y in iproduct(one_term, repeat=2))
     words = 0
     for n in range(1, 5):
         for w in iproduct((1, 2, 3), repeat=n):
@@ -481,21 +495,46 @@ def test_K_w_rep_matches_closed_forms_at_six_and_seven():
             rp.K_closed_form_rep(w, names, ell), (w, ell)
 
 
-def test_belement_product_matches_three_products():
+def belement_elements():
+    """BElement operands with and without a unit component, several on
+    the same single projection, and some whose unit and projection parts
+    cancel in a product."""
     a, b = m_sym(1, ('a',)), m_sym(2, ('b',))
     elements = [rp.B_ZERO, rp.BElement({0: 1}), rp.BElement({0: a}),
                 rp.BElement({1: a}), rp.BElement({2: b - ONE}),
                 rp.BElement({0: b, 1: a}), rp.BElement({0: a, 2: a * b}),
-                rp.BElement({1: 3, 3: b})]
+                rp.BElement({1: 3, 3: b}), rp.BElement({1: ONE - a}),
+                rp.BElement({1: Fraction(-1, 2)}), rp.BElement({2: a * b}),
+                rp.BElement({0: a, 1: -a}), rp.BElement({0: -b, 2: b})]
     for n in range(1, 4):
         for w in iproduct((1, 2, 3), repeat=n):
             for ell in iproduct((1, 2), repeat=n):
                 elements.append(rp.expectation(
                     rp.rep_product(ac._replicas(w, ell, 'x'))))
-    elements = [x for i, x in enumerate(elements) if x not in elements[:i]]
+    for w, ell in (((1, 2, 1), (1, 2, 1)), ((1, 1), (1, 2)),
+                   ((1, 2, 2, 1), (2, 1, 1, 2))):
+        elements.append(rp.B_w_rep(w, ac._replicas(w, ell, 'y')))
+    return [x for i, x in enumerate(elements) if x not in elements[:i]]
+
+
+def test_belement_product_matches_three_products():
+    elements = belement_elements()
     assert len(elements) > 50
+    same = 0
     for x, y in iproduct(elements, repeat=2):
         assert x * y == frozen_belement_mul(x, y), (x, y)
+        same += len(x.comp) == len(y.comp) == 1 and x.comp.keys() == \
+            y.comp.keys() != {0}
+    assert same > 100
+
+
+def test_difference_is_sum_with_negated_operand():
+    # the term-by-term difference against the sum with (-1) times the
+    # second operand, as subtraction was first written
+    for x, y in iproduct(rep_elements(), repeat=2):
+        assert (x - y).terms == (x + (-1) * y).terms, (x.terms, y.terms)
+    for x, y in iproduct(belement_elements(), repeat=2):
+        assert (x - y).comp == (x + (-1) * y).comp, (x, y)
 
 
 def test_zero_operands_match_frozen_products():

@@ -53,6 +53,13 @@ def test_parse_and_format():
     assert wd.parse_word('12321') == (1, 2, 3, 2, 1)
     assert wd.parse_word('1,2,1') == (1, 2, 1)
     assert wd.format_word((1, 2, 1)) == '121'
+    assert wd.parse_word(' 1, 2,1 ') == (1, 2, 1)
+    for text, token in (('1,,2', "''"), ('1 2', "' '"), ('x', "'x'"),
+                        ('1,2,a1', "'a1'")):
+        with pytest.raises(ValueError, match=f'got {token} in'):
+            wd.parse_word(text)
+    with pytest.raises(ValueError, match='empty word'):
+        wd.parse_word('')
 
 
 def test_tableau_examples():
