@@ -734,12 +734,6 @@ def crit_convolution(scale):
     def B(label, *idx):
         return beta_sym(label, tuple(f'a{i}' for i in idx))
 
-    def swap(expr):
-        out = {}
-        for mono, c in expr.terms.items():
-            out[tuple(sorted((k, 3 - l, v) for k, l, v in mono))] = c
-        return Poly(out)
-
     def total_beta(w):
         out = ZERO
         for _pi, _ell, val in cv.boxplus_w_beta_terms(w, a[:len(w)]):
@@ -753,14 +747,14 @@ def crit_convolution(scale):
 
     half = B(1, 1, 2, 4) * B(2, 3) + B(1, 1) * B(1, 2, 4) * B(2, 3) \
         + B(2, 1) * B(1, 2, 4) * B(2, 3)
-    if total_beta((1, 1, 2, 1)) != half + swap(half):
+    if total_beta((1, 1, 2, 1)) != half + cm.mirror(half):
         return False, 'four-letter part (1121) mismatch'
     half = B(1, 1, 3, 4) * B(2, 2) + B(1, 1, 3) * B(2, 2) * B(1, 4) \
         + B(1, 1, 3) * B(2, 2) * B(2, 4)
-    if total_beta((1, 2, 1, 1)) != half + swap(half):
+    if total_beta((1, 2, 1, 1)) != half + cm.mirror(half):
         return False, 'four-letter part (1211) mismatch'
     half = B(1, 1, 4) * (B(2, 2, 3) + B(2, 2) * B(2, 3))
-    if total_beta((1, 2, 2, 1)) != half + swap(half):
+    if total_beta((1, 2, 2, 1)) != half + cm.mirror(half):
         return False, 'four-letter part (1221) mismatch'
     d = cv.delta_sym(('a1', 'a2', 'a3'))
     want = B(1, 2) * B(2, 1, 3) + B(2, 2) * B(1, 1, 3)

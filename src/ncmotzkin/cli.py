@@ -32,9 +32,12 @@ HASSE_MAX_VERTICES = 6500
 # name: n=12 7.4-9.2 s; two alternating names: n=11 6.0-8.1 s, n=12 31 s;
 # three: n=11 10.5 s; all distinct: n=11 10.5-11.9 s; with the runs
 # cached up to 1,024, these four peak at 28, 39, 51 and 59 MB RSS.
-# replica, any names: n=8 1.8-2.8 s, n=9 11.9-13.2 s. nested, one name:
-# n=8 12.1-12.5 s; two or three names: n=8 15.0-15.4 s; all distinct:
-# n=8 15.6-15.9 s (55 MB).
+# replica and nested build half of each part and mirror it: replica,
+# n=9, one name 5.3 s, two alternating 6.3 s, three 5.9 s, all
+# distinct 5.5 s; n=10, one name 37.4 s. nested, n=8, one name 4.0 s,
+# two alternating 6.0 s, three 4.5 s, all distinct 4.9 s (36 MB); n=9,
+# one name 41.2 s (85 MB). Three and all distinct names time
+# boxplus_total_sym, since their moment tables are too large to write.
 CONVOLVE_MAX_LENGTH = {'monotone': (12, 11), 'replica': (9, 9),
                        'nested': (8, 8)}
 
@@ -61,8 +64,8 @@ def _poly_json(p, variables):
     for i, v in enumerate(variables, start=1):
         positions.setdefault(str(v), i)
     out = []
-    for mono in sorted(p.terms):
-        out.append({'coeff': str(p.terms[mono]),
+    for mono, c in sorted(cm.raw_terms(p).items()):
+        out.append({'coeff': str(c),
                     'monomial': [_sym_json(s, positions) for s in mono]})
     return out
 

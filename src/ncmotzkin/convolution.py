@@ -15,7 +15,8 @@ from functools import lru_cache
 from math import gcd
 
 from .cumulants import (UNIT, ZERO, ONE, moment_to_free, moment_to_boolean,
-                        beta_sym, _poly, _restrict, _prod, _sum)
+                        beta_sym, mirror, rename, symbol_of,
+                        _restrict, _prod, _sum)
 from . import adapted as ad
 from . import partitions as sp
 from . import replicas as rp
@@ -121,10 +122,10 @@ def evaluate(poly, mu1, mu2):
             num, den = coeff, 1
         else:
             num, den = coeff.numerator, coeff.denominator
-        for sym in mono:
-            value = values.get(sym)
+        for i in mono:
+            value = values.get(i)
             if value is None:
-                value = values[sym] = _moment_value(sym, mus)
+                value = values[i] = _moment_value(symbol_of(i), mus)
             num *= value[0]
             den *= value[1]
         if den != denom:
@@ -223,6 +224,13 @@ def boxplus_w_sym(w, variables, route='replica'):
     labelings. A nonempty w that is not a reduced Motzkin word raises
     ValueError before anything is built.
 
+    Swapping the labels 1 and 2 maps the part to itself, and the replica
+    and nested routes build only half of it: 'replica' sums the
+    labelings whose first label is 1 and adds the mirror of that sum
+    (cumulants.mirror); 'nested' evaluates each block's Motzkin cumulant
+    at label 1 only and adds its mirror. 'monotone' builds both labels,
+    so it stays an independent check of the other two.
+
     The part depends on w, the route and the pattern in which the
     variable names repeat, never on a distribution: it is built once per
     (w, pattern, route), renamed to the names, and shared per literal
@@ -244,25 +252,6 @@ def _pattern(variables):
     return tuple(canon.get(v, v) for v in variables), back
 
 
-def _rename(p, back):
-    """The polynomial with each variable name renamed by the bijection
-    back; the monomials are re-sorted, and none merge."""
-    syms = {}
-    terms = {}
-    for mono, c in p.terms.items():
-        out = []
-        for s in mono:
-            r = syms.get(s)
-            if r is None:
-                kind, label, args = s
-                r = syms[s] = (kind, label,
-                               tuple(back.get(a, a) for a in args))
-            out.append(r)
-        out.sort()
-        terms[tuple(out)] = c
-    return _poly(terms)
-
-
 @lru_cache(maxsize=1024)
 def _named(build, key, variables, route):
     """build(key, pattern, route) of the names' pattern, renamed to the
@@ -270,7 +259,7 @@ def _named(build, key, variables, route):
     23 totals, criterion 10 for 59 keys in all."""
     pattern, back = _pattern(variables)
     out = build(key, pattern, route)
-    return out if pattern == variables else _rename(out, back)
+    return out if pattern == variables else rename(out, back)
 
 
 @lru_cache(maxsize=512)
@@ -286,11 +275,10 @@ def _w_part(w, pattern, route):
     if not wd.is_reduced(w):
         raise ValueError(f'{w} is not a reduced Motzkin word')
     if route == 'replica':
-        out = ZERO
-        for ell in _labelings(n):
-            x = rp.replica_word(pattern, ell, w)
-            out = out + rp.zeta_E(x)
-        return out
+        # a labeling with l_1 = 2 is the mirror of one with l_1 = 1
+        half = _sum(rp.zeta_E(rp.replica_word(pattern, (1,) + ell, w))
+                    for ell in _labelings(n - 1))
+        return half + mirror(half)
     if route == 'monotone':
         return _monotone_run(w, pattern, None)
     if route == 'nested':
@@ -309,18 +297,19 @@ def _nested_part(w, names):
     bridge) is that sum, as a BElement, over the partitions of a..b into
     sibling blocks, grown by the rules of adapted.enumerate_adapted's
     run for class 'all'; None when there is no such partition. A block
-    is summed over its two labels; its atom at a position followed by a
-    gap is the replica times the gap's run, embedded. The block's sum
-    multiplies the run of the rest. K itself is Forests' recursion,
-    memoized for the whole part on atom keys (position, label, key of
-    the gap's run or None)."""
-    atoms = {(p, l, None): (j, rp.replica(v, l, j))
-             for p, (v, j) in enumerate(zip(names, w), start=1)
-             for l in (1, 2)}
+    is summed over its two labels: K of its label-1 arguments plus the
+    mirror of that, since the label-2 arguments are the label-1 ones
+    mirrored, a run being a sum over both labels and so its own mirror.
+    Its atom at a position followed by a gap is the label-1 replica times
+    the gap's run, embedded. The block's sum multiplies the run of the
+    rest. K itself is Forests' recursion, memoized for the whole part on
+    atom keys (position, key of the gap's run or None)."""
+    atoms = {(p, None): (j, rp.replica(v, 1, j))
+             for p, (v, j) in enumerate(zip(names, w), start=1)}
     forests = rp.Forests(atoms)
 
-    def K(block, l):
-        return forests.value(tuple([((p, l, g), ()) for p, g in block]))
+    def K(block):
+        return forests.value(tuple([((p, g), ()) for p, g in block]))
 
     @lru_cache(maxsize=None)
     def run(a, b, h, depth, bridge):
@@ -337,7 +326,8 @@ def _nested_part(w, names):
                 rest = run(last + 1, b, h, depth, bridge) if last < b \
                     else rp.B_ONE
                 if rest is not None:
-                    value = rest * (K(block, 1) + K(block, 2))
+                    k = K(block)
+                    value = rest * (k + k.mirror())
                     out = value if out is None else out + value
             for q in range(last + 1, b + 1):
                 y = w[q - 1]
@@ -350,11 +340,9 @@ def _nested_part(w, names):
                 fill = run(*gap)
                 if fill is None:
                     continue
-                if (last, 1, gap) not in atoms:
-                    fill = fill.embed()
-                    for l in (1, 2):
-                        atoms[last, l, gap] = (x, atoms[last, l, None][1]
-                                               * fill)
+                if (last, gap) not in atoms:
+                    atoms[last, gap] = (x, atoms[last, None][1]
+                                        * fill.embed())
                 grow(block[:-1] + ((last, gap), (q, None)))
 
         grow(((a, None),))

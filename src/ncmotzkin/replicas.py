@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product as iproduct
 
-from .cumulants import (Poly, ONE, ZERO, m_sym, moment_to_boolean,
+from .cumulants import (Poly, ONE, ZERO, m_sym, mirror, moment_to_boolean,
                         format_belement)
 from . import adapted as ad
 from . import partitions as sp
@@ -382,6 +382,11 @@ class BElement:
     def zeta(self):
         """The functional with zeta(1) = 1, zeta(p_k) = delta_{k,1}."""
         return self.comp.get(0, ZERO) + self.comp.get(1, ZERO)
+
+    def mirror(self):
+        """The element with the labels 1 and 2 swapped in its
+        coefficients (cumulants.mirror)."""
+        return _belement({j: mirror(c) for j, c in self.comp.items()})
 
     def embed(self):
         """The element as a member of the replica algebra."""

@@ -237,7 +237,8 @@ def test_convolve_length_limit(capsys, tmp_path):
                 assert err == f'error: the {route} route takes monomials' \
                     f'{several} of length at most {limit}, this one has ' \
                     f'{limit + 1}\n'
-    assert cli.CONVOLVE_MAX_LENGTH['monotone'] == (12, 11)
+    assert cli.CONVOLVE_MAX_LENGTH == {'monotone': (12, 11),
+                                       'replica': (9, 9), 'nested': (8, 8)}
     code, out, err = run(capsys, 'convolve', '--mu1', 'missing.json',
                          '--mu2', 'missing.json', '--monomial',
                          'x,' * 12 + 'x')

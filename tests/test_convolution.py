@@ -6,6 +6,7 @@ from itertools import product as iproduct
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ncmotzkin import acceptance as ac
 from ncmotzkin import adapted as ad
 from ncmotzkin import convolution as cv
 from ncmotzkin import cumulants as cm
@@ -32,7 +33,7 @@ def b2m(p):
 
 def swap_labels(expr):
     return Poly({tuple(sorted((k, 3 - l, v) for k, l, v in mono)): c
-                 for mono, c in expr.terms.items()})
+                 for mono, c in cm.raw_terms(expr).items()})
 
 
 def test_distribution_validation():
@@ -104,6 +105,61 @@ def test_four_letter_parts():
     assert total_beta((1, 2, 1, 1)) == half + swap_labels(half)
     half = B(1, 1, 4) * (B(2, 2, 3) + B(2, 2) * B(2, 3))
     assert total_beta((1, 2, 2, 1)) == half + swap_labels(half)
+
+
+def swap_rep(x):
+    # the label swap on the replica algebra: the two strings of every
+    # monomial exchanged and the labels of its coefficient swapped
+    return rp.Rep({(s2, s1): swap_labels(c)
+                   for (s1, s2), c in x.terms.items()})
+
+
+def swap_belement(b):
+    return rp.BElement({j: swap_labels(c) for j, c in b.comp.items()})
+
+
+def test_library_mirror_matches_swap_labels():
+    for n in range(1, 5):
+        names = [f'a{i + 1}' for i in range(n)]
+        ell = tuple(1 + i % 2 for i in range(n))
+        p = cv.free_product_sym(list(zip(names, ell)))
+        assert cm.mirror(p) == swap_labels(p), n
+        for w in wd.enumerate_words(n):
+            b = rp.B_w_rep(w, ac._replicas(w, ell))
+            assert b.mirror() == swap_belement(b), w
+    # labels other than 1 and 2 are kept
+    assert cm.mirror(cm.m_sym(0, ('x',)) * B(1, 1)) == \
+        cm.m_sym(0, ('x',)) * B(2, 1)
+
+
+def test_label_swap_is_a_symmetry_of_the_replica_algebra():
+    # the identity the mirrored replica and nested routes rest on, checked
+    # on the shapes of the replica lemmas, apart from the routes: the swap
+    # maps the replicas of one labeling to those of the swapped labeling,
+    # fixes the projections, commutes with E, and B_w and K_w of all-label-2
+    # replicas are the swap of those of all-label-1 replicas
+    for j in (1, 2, 3):
+        assert swap_rep(rp.p_proj(j)) == rp.p_proj(j)
+    for n in range(1, 6):
+        for w in ac._am_words(n):
+            for ell in iproduct((1, 2), repeat=n):
+                A = ac._replicas(w, ell)
+                M = ac._replicas(w, tuple(3 - l for l in ell))
+                assert [swap_rep(a) for a in A] == M
+                x = rp.rep_product(A)
+                assert rp.expectation(swap_rep(x)) == \
+                    swap_belement(rp.expectation(x)), (w, ell)
+                for k in range(n - 1):
+                    X = A[:k] + [A[k] * rp.p_proj(w[k])] + A[k + 1:]
+                    x = rp.rep_product(X)
+                    assert rp.expectation(swap_rep(x)) == \
+                        swap_belement(rp.expectation(x)), (w, ell, k)
+            ones = ac._replicas(w, (1,) * n)
+            twos = ac._replicas(w, (2,) * n)
+            assert rp.B_w_rep(w, twos) == \
+                swap_belement(rp.B_w_rep(w, ones)), w
+            assert rp.K_w_rep(w, twos) == \
+                swap_belement(rp.K_w_rep(w, ones)), w
 
 
 def test_part_resolves_into_scalar_cumulants():
@@ -222,7 +278,7 @@ def frozen_evaluate(poly, mu1, mu2):
     # evaluate as written before moments were looked up in the table
     mus = {1: mu1, 2: mu2}
     total = Fraction(0)
-    for mono, coeff in poly.terms.items():
+    for mono, coeff in cm.raw_terms(poly).items():
         val = Fraction(coeff)
         for kind, label, args in mono:
             if kind != 'm':
@@ -395,6 +451,13 @@ def test_parts_match_frozen_build():
             for route in ROUTES:
                 assert cv.boxplus_w_sym(w, names, route) == frozen_w_part(
                     w, names, route), (w, names, route)
+    # the replica route sums half the labelings and mirrors the sum; the
+    # frozen build sums them all
+    for w in wd.enumerate_words(5):
+        for names in (('a1', 'a2', 'a3', 'a4', 'a5'),
+                      ('y', 'x', 'y', 'x', 'x')):
+            assert cv.boxplus_w_sym(w, names, 'replica') == frozen_w_part(
+                w, names, 'replica'), (w, names)
 
 
 def frozen_nested_part(w, pattern):

@@ -1,3 +1,5 @@
+import multiprocessing
+import pickle
 import pytest
 from fractions import Fraction
 from functools import lru_cache
@@ -5,6 +7,7 @@ from itertools import product as iproduct
 from hypothesis import given, settings, strategies as st
 
 from ncmotzkin import adapted as ad
+from ncmotzkin import cli
 from ncmotzkin import cumulants as cm
 from ncmotzkin import partitions as sp
 from ncmotzkin import replicas as rp
@@ -282,7 +285,10 @@ def test_poly_matches_fraction_reference(pa, qb, s):
              (s * p, {m: s * c for m, c in a.items() if s * c}),
              (p * ONE, a), (ONE * p, a), (p * ZERO, {}), (ZERO * p, {})]
     for got, want in cases:
-        assert got.terms == want
+        assert cm.raw_terms(got) == want
+        # raw_terms sorts and merges again: check the stored id keys too
+        assert all(list(m) == sorted(m) for m in got.terms)
+        assert len(cm.raw_terms(got)) == len(got.terms)
         assert_exact_types(got)
     assert ONE.terms == {(): 1} and ZERO.terms == {}
 
@@ -352,3 +358,33 @@ def test_moment_to_free_matches_noncrossing_sum():
                 frozen_moment_to_free(label, args), (label, args)
     with pytest.raises(ValueError):
         cm.moment_to_free(0, ())
+
+
+def test_poly_built_in_a_spawned_worker_equals_the_parents():
+    # symbol ids depend on the order in which a process first meets the
+    # symbols; this process meets a marker and the arguments' moments
+    # first, so a fresh worker gives the same symbols other ids, and a
+    # Poly has to cross by its raw symbols
+    args = ('s1', 's2', 's3', 's4')
+    Poly.symbol('m', 1, ('pickle-marker',))
+    for k in range(1, 5):
+        Poly.symbol('m', 1, args[-k:])
+    want = cm.transform('m', 'r', 1, args)
+    with multiprocessing.get_context('spawn').Pool(1) as pool:
+        got = pool.apply_async(cm.transform, ('m', 'r', 1, args)).get(60)
+    assert got == want
+    assert cm.format_poly(got) == cm.format_poly(want)
+    assert pickle.loads(pickle.dumps(want)) == want
+
+
+def test_output_sorts_by_raw_symbols_not_ids():
+    za, zb = ('m', 1, ('za',)), ('m', 2, ('zb',))
+    # interned in the reverse of their raw order
+    assert cm.intern(zb) < cm.intern(za)
+    p = Poly({(za, zb): 1, (zb,): 2, (za, za): -1})
+    assert cm.format_poly(p) == \
+        '-1*m_1(za)*m_1(za) + m_1(za)*m_2(zb) + 2*m_2(zb)'
+    assert cli._poly_json(p, ('za', 'zb')) == [
+        {'coeff': '-1', 'monomial': [['m', 1, [1], 1], ['m', 1, [1], 1]]},
+        {'coeff': '1', 'monomial': [['m', 1, [1], 1], ['m', 1, [2], 2]]},
+        {'coeff': '2', 'monomial': [['m', 1, [2], 2]]}]

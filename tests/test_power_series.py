@@ -75,7 +75,7 @@ def at(poly, m, kind='m'):
     """A polynomial in the symbols of one kind of one variable (moments
     by default), at the values m."""
     total = Fraction(0)
-    for mono, c in poly.terms.items():
+    for mono, c in cm.raw_terms(poly).items():
         term = Fraction(c)
         for sym_kind, _label, args in mono:
             assert sym_kind == kind
