@@ -8,7 +8,6 @@ rationals as text) and deterministic.
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from . import acceptance
 from . import adapted as ad
@@ -32,11 +31,12 @@ HASSE_MAX_VERTICES = 6500
 # name: n=12 7.4-9.2 s; two alternating names: n=11 6.0-8.1 s, n=12 31 s;
 # three: n=11 10.5 s; all distinct: n=11 10.5-11.9 s; with the runs
 # cached up to 1,024, these four peak at 28, 39, 51 and 59 MB RSS.
-# replica and nested build half of each part and mirror it: replica,
-# n=9, one name 5.3 s, two alternating 6.3 s, three 5.9 s, all
-# distinct 5.5 s; n=10, one name 37.4 s. nested, n=8, one name 4.0 s,
-# two alternating 6.0 s, three 4.5 s, all distinct 4.9 s (36 MB); n=9,
-# one name 41.2 s (85 MB). Three and all distinct names time
+# replica and nested build half of each part and mirror it, on interned
+# replica strings and monomials: replica, n=9, one name 2.8-4.2 s, two
+# alternating 3.4-4.4 s, three 3.0 s, all distinct 3.2 s (29 MB); n=10,
+# one name 17.0-20.8 s, at the budget. nested, n=8, one name 4.1-4.6 s,
+# two alternating 4.4 s, three 5.2 s, all distinct 5.2 s (37 MB); n=9,
+# one name 38.1 s (82 MB). Three and all distinct names time
 # boxplus_total_sym, since their moment tables are too large to write.
 CONVOLVE_MAX_LENGTH = {'monotone': (12, 11), 'replica': (9, 9),
                        'nested': (8, 8)}

@@ -8,6 +8,18 @@ ones are all equal to a tail letter, either 1 or P. The functionals Phi
 and Psi_j evaluate to polynomials in formal moment symbols; the
 conditional expectation E takes values in the span of 1 and the
 orthogonal projections p_1, p_2, ...
+
+A string (sites, tail) is canonical when its last explicit site is not
+its tail's site. Each canonical string is interned once as a small int
+id, in an append-only table, and each two-string monomial as its pair
+of string ids, so a Rep maps monomial ids to Polys and the products and
+expectations of monomials are cached lookups on ints. Ids depend on the
+order in which strings are first met, so they never leave the process:
+`string_of`, `monomial_of` and `raw_terms` read them back, a Rep pickles
+through its raw terms, and `Rep(terms)` takes raw two-string monomials.
+The tables have no bound: criterion 8 leaves 1,587 strings and 3,362
+monomials, the `replica` route at length 9 with distinct names 8,455
+and 4,525.
 """
 
 from bisect import bisect_left
@@ -53,29 +65,101 @@ def _site(string, j):
     return sites[j - 1] if j <= len(sites) else _tail_site(tail)
 
 
-@lru_cache(maxsize=4096)
-def _mul_string(s, t):
-    """Product of two canonical strings, site by site; None when a site
-    is annihilated. Cached: the strings are hashable and few distinct
-    pairs occur (2,867 over all of criterion 8)."""
+_STRINGS = []
+_STRING_IDS = {}
+_MONOS = []
+_MONO_IDS = {}
+
+
+def _intern(key, table, ids):
+    i = ids.get(key)
+    if i is None:
+        i = ids[key] = len(table)
+        table.append(key)
+    return i
+
+
+def _string_id(sites, tail):
+    """The id of the string (sites, tail), canonicalized, new or not."""
+    return _intern(_canon_string(sites, tail), _STRINGS, _STRING_IDS)
+
+
+def _mono_id(s1, s2):
+    """The id of the monomial of the string ids s1, s2, new or not."""
+    return _intern((s1, s2), _MONOS, _MONO_IDS)
+
+
+def string_of(i):
+    """The canonical (sites, tail) string of a string id."""
+    return _STRINGS[i]
+
+
+def monomial_of(k):
+    """The raw monomial (string 1, string 2) of a monomial id."""
+    s1, s2 = _MONOS[k]
+    return _STRINGS[s1], _STRINGS[s2]
+
+
+def raw_terms(x):
+    """The terms of the Rep x keyed by raw two-string monomials."""
+    return {monomial_of(k): c for k, c in x.terms.items()}
+
+
+@lru_cache(maxsize=16384)
+def _mul_string(i, j):
+    """The id of the product of the strings of ids i and j, site by site;
+    None when a site is annihilated. Cached on the id pair; asked only on
+    the misses of _mul_mono, which share strings: all of criterion 8 asks
+    12,330 times for 2,801 pairs, the `replica` route of length 9 with
+    distinct names 12,130 times for 10,981."""
+    s, t = _STRINGS[i], _STRINGS[j]
     n = max(len(s[0]), len(t[0]))
     out = []
-    for j in range(1, n + 1):
-        site = _simp_site(_site(s, j) + _site(t, j))
+    for k in range(1, n + 1):
+        site = _simp_site(_site(s, k) + _site(t, k))
         if site is None:
             return None
         out.append(site)
-    return _canon_string(out, s[1] | t[1])
+    return _string_id(out, s[1] | t[1])
+
+
+@lru_cache(maxsize=16384)
+def _mul_mono(a, b):
+    """The id of the product of the monomials of ids a and b, string by
+    string; None when it vanishes. Cached on the id pair: all of
+    criterion 8 asks 353,818 times for 6,559 pairs, the `replica` route
+    of length 9 223,506 times for 6,612."""
+    a1, a2 = _MONOS[a]
+    b1, b2 = _MONOS[b]
+    s1 = _mul_string(a1, b1)
+    if s1 is None:
+        return None
+    s2 = _mul_string(a2, b2)
+    if s2 is None:
+        return None
+    return _mono_id(s1, s2)
 
 
 class Rep:
     """Finite linear combination of two-string tensor monomials with
-    polynomial coefficients."""
+    polynomial coefficients, keyed by monomial id."""
 
     __slots__ = ('terms',)
 
     def __init__(self, terms=None):
-        self.terms = _nonzero(terms or {})
+        # raw keys (string 1, string 2), each string (sites, tail); keys
+        # equal once canonical are summed
+        out = {}
+        for (s1, s2), c in _nonzero(terms or {}).items():
+            k = _mono_id(_string_id(*s1), _string_id(*s2))
+            c = out.pop(k) + c if k in out else c
+            if c.terms:
+                out[k] = c
+        self.terms = out
+
+    def __reduce__(self):
+        # ids are private to the process: pickle the raw monomials
+        return Rep, (raw_terms(self),)
 
     def __add__(self, other):
         if not isinstance(other, Rep):
@@ -95,25 +179,20 @@ class Rep:
             return REP_ZERO
         if len(a) == 1 and len(b) == 1:
             # one monomial times one: 44% of the products in criterion 8
-            ((a1, a2), c), = a.items()
-            ((b1, b2), d), = b.items()
-            s1 = _mul_string(a1, b1)
-            s2 = None if s1 is None else _mul_string(a2, b2)
-            if s2 is None:
+            (k, c), = a.items()
+            (l, d), = b.items()
+            m = _mul_mono(k, l)
+            if m is None:
                 return REP_ZERO
-            return _rep({(s1, s2): c * d})
+            return _rep({m: c * d})
         out = {}
-        for (a1, a2), c in a.items():
-            for (b1, b2), d in b.items():
-                s1 = _mul_string(a1, b1)
-                if s1 is None:
+        for k, c in a.items():
+            for l, d in b.items():
+                m = _mul_mono(k, l)
+                if m is None:
                     continue
-                s2 = _mul_string(a2, b2)
-                if s2 is None:
-                    continue
-                key = (s1, s2)
                 cd = c * d
-                out[key] = out[key] + cd if key in out else cd
+                out[m] = out[m] + cd if m in out else cd
         return _rep({k: c for k, c in out.items() if c.terms})
 
     def __rmul__(self, other):
@@ -183,21 +262,15 @@ REP_ZERO = Rep()
 REP_ONE = Rep({(((), TAIL_ONE), ((), TAIL_ONE)): 1})
 
 
-def _string_of(sites, tail):
-    return _canon_string([_simp_site(s) for s in sites], tail)
-
-
 def replica(var, label, j):
     """Orthogonal replica a(j) of a variable with the given label."""
     if label not in (1, 2) or j < 1:
         raise ValueError('label must be 1 or 2 and color >= 1')
-    own = [()] * (j - 1) + [(('v', str(var)),)]
-    other = [()] * (j - 2) + [('C',)] if j >= 2 else []
-    s_own = _string_of(own, TAIL_ONE)
-    s_other = _string_of(other, TAIL_PROJ)
-    if label == 1:
-        return Rep({(s_own, s_other): 1})
-    return Rep({(s_other, s_own): 1})
+    own = _string_id([()] * (j - 1) + [(('v', str(var)),)], TAIL_ONE)
+    other = _string_id([()] * (j - 2) + [('C',)] if j >= 2 else [],
+                       TAIL_PROJ)
+    return _rep({_mono_id(own, other) if label == 1
+                 else _mono_id(other, own): ONE})
 
 
 def e_label(i, n):
@@ -205,9 +278,10 @@ def e_label(i, n):
     from color n on on the other string."""
     if i not in (1, 2) or n < 1:
         raise ValueError('bad label or index')
-    trivial = ((), TAIL_ONE)
-    proj = _string_of([()] * (n - 1), TAIL_PROJ)
-    return Rep({(trivial, proj) if i == 1 else (proj, trivial): 1})
+    trivial = _string_id((), TAIL_ONE)
+    proj = _string_id([()] * (n - 1), TAIL_PROJ)
+    return _rep({_mono_id(trivial, proj) if i == 1
+                 else _mono_id(proj, trivial): ONE})
 
 
 @lru_cache(maxsize=64)
@@ -290,10 +364,10 @@ def phi(x, cutoff=0):
     cutoff j-1 > 0 the first j-1 sites are evaluated by the functional
     vanishing on projections, which yields Psi_j."""
     total = ZERO
-    for (s1, s2), coeff in x.terms.items():
+    for k, coeff in x.terms.items():
         val = coeff
-        for label, string in ((1, s1), (2, s2)):
-            sites, _tail = string
+        for label, i in zip((1, 2), _MONOS[k]):
+            sites, _tail = _STRINGS[i]
             for j, tokens in enumerate(sites, start=1):
                 f = _phi_hat_site if j <= cutoff else _phi_site
                 val = val * f(tokens, label)
@@ -474,11 +548,12 @@ def expectation(x):
 
 
 @lru_cache(maxsize=None)
-def _expect_mono(key):
-    """E of one two-string monomial: boundary projections of each tensor
-    factor determine the output color, the interior is evaluated by phi,
-    which on a two-string core is the product of its strings' values."""
-    s1, s2 = key
+def _expect_mono(k):
+    """E of the two-string monomial of id k: boundary projections of each
+    tensor factor determine the output color, the interior is evaluated
+    by phi, which on a two-string core is the product of its strings'
+    values. All of criterion 8 asks 241,789 times for 2,939 monomials."""
+    s1, s2 = _MONOS[k]
     tops = {}
     for top1, v1 in _string_branches(s1, 1):
         for top2, v2 in _string_branches(s2, 2):
@@ -494,14 +569,16 @@ def _expect_mono(key):
     return _belement({j: c for j, c in comp.items() if c.terms})
 
 
-@lru_cache(maxsize=4096)
-def _string_branches(string, label):
-    """The C-expansions of one string on the label's marginal: a tuple of
-    (least boundary projection color or 0 for none, signed phi of the
-    stripped core), without the branches whose phi is zero. Cached like
-    _mul_string: all of criterion 8 asks 7,659 times for 2,135 keys."""
+@lru_cache(maxsize=8192)
+def _string_branches(i, label):
+    """The C-expansions of the string of id i on the label's marginal: a
+    tuple of (least boundary projection color or 0 for none, signed phi
+    of the stripped core), without the branches whose phi is zero.
+    Cached: all of criterion 8 asks 7,659 times for 2,135 keys, the
+    `replica` route of length 9 with distinct names 6,746 times for
+    4,246."""
     out = []
-    for sign, branch in _branch_strings(string):
+    for sign, branch in _branch_strings(_STRINGS[i]):
         e, f, (sites, _tail) = _strip(branch)
         val = ONE if sign > 0 else -ONE
         for tokens in sites:

@@ -111,7 +111,7 @@ def swap_rep(x):
     # the label swap on the replica algebra: the two strings of every
     # monomial exchanged and the labels of its coefficient swapped
     return rp.Rep({(s2, s1): swap_labels(c)
-                   for (s1, s2), c in x.terms.items()})
+                   for (s1, s2), c in rp.raw_terms(x).items()})
 
 
 def swap_belement(b):

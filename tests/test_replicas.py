@@ -1,3 +1,5 @@
+import multiprocessing
+import pickle
 from bisect import bisect_left
 from fractions import Fraction
 from itertools import product as iproduct
@@ -195,7 +197,7 @@ def frozen_expectation(x):
     projections of each tensor factor determine the output color, the
     interior is evaluated by phi."""
     out = rp.BElement()
-    for (s1, s2), coeff in x.terms.items():
+    for (s1, s2), coeff in rp.raw_terms(x).items():
         for sign1, b1 in rp._branch_strings(s1):
             for sign2, b2 in rp._branch_strings(s2):
                 e1, f1, core1 = rp._strip(b1)
@@ -304,8 +306,8 @@ def frozen_mul_string(s, t):
 
 def frozen_rep_mul(x, y):
     out = {}
-    for (a1, a2), c in x.terms.items():
-        for (b1, b2), d in y.terms.items():
+    for (a1, a2), c in rp.raw_terms(x).items():
+        for (b1, b2), d in rp.raw_terms(y).items():
             s1 = frozen_mul_string(a1, b1)
             if s1 is None:
                 continue
@@ -315,7 +317,7 @@ def frozen_rep_mul(x, y):
             key = (s1, s2)
             cd = c * d
             out[key] = out[key] + cd if key in out else cd
-    return rp._rep({k: c for k, c in out.items() if c.terms})
+    return rp.Rep({k: c for k, c in out.items() if c.terms})
 
 
 def rep_elements():
@@ -350,6 +352,51 @@ def test_rep_product_matches_uncached():
                 assert rp.rep_product(args) == want, (w, ell)
                 words += 1
     assert words == 1554
+
+
+def test_interned_strings_and_monomials_are_canonical_and_unique():
+    elements = rep_elements()
+    for x, y in iproduct(elements, repeat=2):
+        rp.expectation(x * y)
+    for x in elements:
+        raw = rp.raw_terms(x)
+        assert rp.Rep(raw) == x
+        for key, c in raw.items():
+            assert rp.raw_terms(rp.Rep({key: c})) == {key: c}
+    # a raw string with trailing tail sites names its canonical string
+    a = (('v', 'a'),)
+    trivial = ((), rp.TAIL_ONE)
+    for tail, pad in ((rp.TAIL_ONE, ()), (rp.TAIL_PROJ, ('P',))):
+        canon, padded = ((a,), tail), ((a, pad, pad), tail)
+        assert rp.Rep({(trivial, padded): 1}) == rp.Rep({(trivial, canon): 1})
+        assert rp.Rep({(padded, trivial): 1, (canon, trivial): -1}).is_zero()
+    strings, monos = rp._STRINGS, rp._MONOS
+    assert rp._STRING_IDS == {s: i for i, s in enumerate(strings)}
+    assert rp._MONO_IDS == {m: k for k, m in enumerate(monos)}
+    for sites, tail in strings:
+        assert not sites or sites[-1] != (() if tail == rp.TAIL_ONE
+                                          else ('P',)), (sites, tail)
+    for k, (i, j) in enumerate(monos):
+        assert rp.monomial_of(k) == (rp.string_of(i), rp.string_of(j))
+
+
+def test_rep_built_in_a_spawned_worker_equals_the_parents():
+    # string and monomial ids depend on the order in which a process
+    # first meets them; this process meets a marker first, so a fresh
+    # worker gives the same monomials other ids, and a Rep has to cross
+    # by its raw monomials, both ways
+    rep('pickle-marker', 2, 5) * rep('pickle-marker', 1, 4)
+    w, ell, names = (2, 2, 2, 2), (1, 2, 1, 2), ('a', 'b', 'c', 'd')
+    extra = rp.REP_ONE - rp.p_proj(1)
+    want = rp.replica_word(names, ell, w) * extra + rp.p_proj(3)
+    assert len(want.terms) > 2
+    with multiprocessing.get_context('spawn').Pool(1) as pool:
+        got = pool.apply_async(rp.replica_word, (names, ell, w)).get(60)
+        e = pool.apply_async(rp.expectation, (want,)).get(60)
+    assert got * extra + rp.p_proj(3) == want
+    assert rp.raw_terms(got) == rp.raw_terms(rp.replica_word(names, ell, w))
+    assert e == rp.expectation(want) and not e.is_zero()
+    assert pickle.loads(pickle.dumps(want)) == want
 
 
 def test_cached_projections_stay_unchanged():
