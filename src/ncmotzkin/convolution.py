@@ -12,6 +12,7 @@ yield the Boolean convolution.
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import zip_longest
 from math import gcd
 
 from .cumulants import (UNIT, ZERO, ONE, moment_to_free, moment_to_boolean,
@@ -172,13 +173,9 @@ def _product_sym(labeled_word, partitions, cumulant):
         return ONE
     names = tuple(v for v, _l in word)
     labels = tuple(l for _v, l in word)
-    out = ZERO
-    for pi in partitions(n):
-        if not all(len({labels[p - 1] for p in b}) == 1 for b in pi):
-            continue
-        out = out + _prod(cumulant(labels[b[0] - 1], _restrict(names, b))
-                          for b in pi)
-    return out
+    return _sum(_prod(cumulant(labels[b[0] - 1], _restrict(names, b))
+                      for b in pi)
+                for pi in partitions(n) if ad.block_labels_constant(pi, labels))
 
 
 def free_product_sym(labeled_word):
@@ -289,113 +286,69 @@ def _w_part(w, pattern, route):
 def _nested_part(w, names):
     """The nested route: the sum over the adapted partitions of w and
     their block-constant labelings of zeta of the nested Motzkin
-    cumulant, summed run by run.
+    cumulant, the grammar adapted.run_shapes folded into BElements.
 
     K_w is multilinear and the values of the outer blocks multiply, so
     the sum over the fillings and labels of each gap moves inside the
-    argument of the position just before the gap. run(a, b, h, depth,
-    bridge) is that sum, as a BElement, over the partitions of a..b into
-    sibling blocks, grown by the rules of adapted.enumerate_adapted's
-    run for class 'all'; None when there is no such partition. A block
-    is summed over its two labels: K of its label-1 arguments plus the
-    mirror of that, since the label-2 arguments are the label-1 ones
+    argument of the position just before it. run(key, at) is that sum
+    over the partitions of the run `key` placed after position `at`. A
+    block is summed over its two labels: K of its label-1 arguments plus
+    the mirror of that, since the label-2 arguments are the label-1 ones
     mirrored, a run being a sum over both labels and so its own mirror.
-    Its atom at a position followed by a gap is the label-1 replica times
-    the gap's run, embedded. The block's sum multiplies the run of the
+    Its atom at a position followed by a gap is the label-1 replica
+    times the gap's run, embedded, and its sum multiplies the run of the
     rest. K itself is Forests' recursion, memoized for the whole part on
     atom keys (position, key of the gap's run or None)."""
     atoms = {(p, None): (j, rp.replica(v, 1, j))
              for p, (v, j) in enumerate(zip(names, w), start=1)}
     forests = rp.Forests(atoms)
 
-    def K(block):
-        return forests.value(tuple([((p, g), ()) for p, g in block]))
-
     @lru_cache(maxsize=None)
-    def run(a, b, h, depth, bridge):
-        if w[a - 1] != h or depth > h or h < bridge:
-            return None
-        out = None
-
-        def grow(block):
-            # block: (position, key of the run in the gap after it or None)
-            nonlocal out
-            last = block[-1][0]
-            x = w[last - 1]
-            if x == h:
-                rest = run(last + 1, b, h, depth, bridge) if last < b \
-                    else rp.B_ONE
-                if rest is not None:
-                    k = K(block)
-                    value = rest * (k + k.mirror())
-                    out = value if out is None else out + value
-            for q in range(last + 1, b + 1):
-                y = w[q - 1]
-                if y < h or abs(y - x) > 1:
-                    continue
-                if q == last + 1:
-                    grow(block + ((q, None),))
-                    continue
-                gap = (last + 1, q - 1, w[last], depth + 1, max(x, y))
-                fill = run(*gap)
-                if fill is None:
-                    continue
-                if (last, gap) not in atoms:
-                    atoms[last, gap] = (x, atoms[last, None][1]
-                                        * fill.embed())
-                grow(block[:-1] + ((last, gap), (q, None)))
-
-        grow(((a, None),))
+    def run(key, at):
+        out = rp.BElement()
+        for block, gaps, rest in ad.run_shapes(key):
+            forest = tuple([((at + p, g), ())
+                            for p, g in zip_longest(block, gaps)])
+            for (p, g), _kids in forest:
+                if (p, g) not in atoms:
+                    atoms[p, g] = (w[p - 1], atoms[p, None][1]
+                                   * run(g, p).embed())
+            k = forests.value(forest)
+            out = out + (run(rest, at + block[-1]) if rest else rp.B_ONE) \
+                * (k + k.mirror())
         return out
 
-    return run(1, len(w), w[0], 1, 0).zeta()
+    out = run((w, 1, 0, None, False), 0).zeta()
+    del run  # run refers to itself: free its memo now, not at a collection
+    return out
 
 
 @lru_cache(maxsize=1024)
 def _monotone_run(w, names, label):
     """The monotone route, run by run: the sum of the products of Boolean
-    cumulants over the labeled partitions of the letters w, with names,
-    into sibling blocks of the letter h = w[0]. The part of a reduced
-    Motzkin word w is its run at label None.
-
-    A run of a reduced Motzkin word ends with h and has no letter below
-    it. A block starts at the first position and steps to the next
-    letter h; the letters it steps over are a gap, filled by a run at
-    h + 1 whose label is the opposite of the block's. It may close where
-    the next letter is h (or at the end), followed by the run on the
-    rest. At top level (label None) each block picks its own label;
-    below, every sibling takes the one opposite to its outer block's.
-    This is the monotone case of adapted.enumerate_adapted's run.
+    cumulants over the labeled monotone partitions of the letters w, with
+    names, into sibling blocks of the letter w[0], the grammar
+    adapted.run_shapes folded into Polys. The part of a reduced Motzkin
+    word w is its run at label None. A block's gaps hold runs at the
+    label opposite to its own, and the rest a run at the same label; at
+    top level (label None) each block picks its own label.
 
     A run depends only on its letters, names and label, so every word
     and pattern that holds it shares it. Bounded: a convolve benchmark
     pass asks for about 115 distinct runs, the total of x^11 for 4,862.
     A bound of 4,096 saved little time on the totals at the length
     limits and cost about 20 MB more peak RSS."""
-    h = w[0]
-    n = len(w)
     labels = (1, 2) if label is None else (label,)
-    # fills[i]: the product of the block's gaps when it takes labels[i]
-    fills = [ONE] * len(labels)
-    block = [1]
-    out = ZERO
-    while True:
-        last = block[-1]
-        if last == n or w[last] == h:
-            rest = ONE if last == n else _monotone_run(w[last:], names[last:],
-                                                       label)
-            args = _restrict(names, block)
-            out = out + rest * _sum(moment_to_boolean(l, args) * f
-                                    for l, f in zip(labels, fills))
-        if last == n:
-            return out
-        q = last + 1
-        while w[q - 1] > h:
-            q += 1
-        if q > last + 1:
-            fills = [f * _monotone_run(w[last:q - 1], names[last:q - 1], 3 - l)
-                     for f, l in zip(fills, labels)]
-        block.append(q)
+    parts = []
+    for block, gaps, rest in ad.run_shapes((w, w[0], w[0] - 1, 1, False)):
+        args = _restrict(names, block)
+        value = _sum(moment_to_boolean(l, args) * _prod(
+            _monotone_run(g[0], names[p:p + len(g[0])], 3 - l)
+            for p, g in zip(block, gaps) if g) for l in labels)
+        if rest:
+            value = _monotone_run(rest[0], names[block[-1]:], label) * value
+        parts.append(value)
+    return _sum(parts)
 
 
 @lru_cache(maxsize=128)

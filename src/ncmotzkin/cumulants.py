@@ -305,19 +305,20 @@ def boolean_in_free(label, args):
 
 
 def _sum(polys):
-    out = ZERO
+    """The sum of Polys, added up in one dict: a running Poly sum would
+    copy its terms at every step."""
+    out = {}
     for p in polys:
-        out = out + p
-    return out
+        for mono, c in p.terms.items():
+            out[mono] = out.get(mono, 0) + c
+    return _poly({m: _num(c) for m, c in out.items() if c})
 
 
 def expand_symbols(poly, rule):
     """Replace every symbol by rule(symbol) -> Poly and re-expand; rule
     takes the raw symbol (kind, label, args)."""
-    out = ZERO
-    for mono, c in poly.terms.items():
-        out = out + c * _prod(rule(symbol_of(i)) for i in mono)
-    return out
+    return _sum(c * _prod(rule(symbol_of(i)) for i in mono)
+                for mono, c in poly.terms.items())
 
 
 def map_symbols(p, ids, f):
@@ -395,11 +396,9 @@ def motzkin_k(w, args):
         return ZERO
     label = labels.pop()
     names = tuple(v for v, _l in args)
-    out = ZERO
-    for pi in ad.enumerate_adapted(w, 'monotone_irr'):
-        out = out + (-1) ** (len(pi) - 1) * _prod(
-            beta_sym(label, _restrict(names, b)) for b in pi)
-    return out
+    return _sum((-1) ** (len(pi) - 1) * _prod(
+        beta_sym(label, _restrict(names, b)) for b in pi)
+        for pi in ad.enumerate_adapted(w, 'monotone_irr'))
 
 
 def motzkin_k_terms(w):

@@ -547,12 +547,14 @@ def expectation(x):
     return _belement({j: c for j, c in out.items() if c.terms})
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def _expect_mono(k):
     """E of the two-string monomial of id k: boundary projections of each
     tensor factor determine the output color, the interior is evaluated
     by phi, which on a two-string core is the product of its strings'
-    values. All of criterion 8 asks 241,789 times for 2,939 monomials."""
+    values. Bounded: all of criterion 8 asks 241,789 times for 2,939
+    monomials (98.8% hits), while the replica route's total at length 9
+    asks 2,123 times, every one a miss."""
     s1, s2 = _MONOS[k]
     tops = {}
     for top1, v1 in _string_branches(s1, 1):

@@ -1,6 +1,7 @@
 import json
 import random
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product as iproduct
 
 import pytest
@@ -10,6 +11,7 @@ from ncmotzkin import acceptance as ac
 from ncmotzkin import adapted as ad
 from ncmotzkin import convolution as cv
 from ncmotzkin import cumulants as cm
+from ncmotzkin import partitions as sp
 from ncmotzkin import replicas as rp
 from ncmotzkin import words as wd
 from ncmotzkin.cumulants import Poly, ZERO, beta_sym
@@ -372,7 +374,15 @@ def test_pattern_of_names():
 
 # The w-part build as written when it was keyed on the literal names,
 # kept unchanged as the reference. Its nested route calls K_pi_rep, which
-# tests/test_replicas.py checks against the recursion it replaced.
+# tests/test_replicas.py checks against the recursion it replaced. Its
+# families are filters of NC(n) by the predicates, which share no code
+# with the grammar adapted.run_shapes that the routes fold.
+
+@lru_cache(maxsize=None)
+def filtered_family(w, cls='all'):
+    keep = ad.is_monotone if cls == 'monotone' else ad.is_adapted
+    return [pi for pi in sp.noncrossing_partitions(len(w)) if keep(pi, w)]
+
 
 def frozen_w_part(w, variables, route):
     n = len(w)
@@ -390,7 +400,7 @@ def frozen_w_part(w, variables, route):
         return frozen_monotone_part(w, variables)
     if route == 'nested':
         out = ZERO
-        for pi in ad.enumerate_adapted(w, 'all'):
+        for pi in filtered_family(w):
             for ell in ad.labelings_of(pi)['L']:
                 args = [rp.replica(v, l, j)
                         for v, l, j in zip(variables, ell, w)]
@@ -403,7 +413,7 @@ def frozen_monotone_part(w, variables):
     # the monotone route as written before it was summed over sibling
     # runs: every monotone partition, every alternating labeling
     out = ZERO
-    for pi in ad.enumerate_adapted(w, 'monotone'):
+    for pi in filtered_family(w, 'monotone'):
         for ell in ad.labelings_of(pi)['L0']:
             out = out + rp.beta_hat_pi(pi, ell, variables)
     return out
@@ -468,7 +478,7 @@ def frozen_nested_part(w, pattern):
         for p, (v, j) in enumerate(zip(pattern, w), start=1)
         for l in (1, 2)})
     out = ZERO
-    for pi in ad.enumerate_adapted(w, 'all'):
+    for pi in filtered_family(w):
         plan = rp.nesting_plan(pi)
         for ell in ad.labelings_of(pi)['L']:
             forest = tuple(((p, l), ()) for p, l in enumerate(ell, 1))
@@ -513,7 +523,7 @@ def test_nested_runs_grow_exactly_the_adapted_partitions(monkeypatch):
     words = 0
     for n in range(1, 8):
         for w in wd.enumerate_words(n):
-            want = sum(2 ** len(pi) for pi in ad.enumerate_adapted(w, 'all'))
+            want = sum(2 ** len(pi) for pi in filtered_family(w))
             assert cv._nested_part(w, ('x',) * n) == Poly.const(want), w
             words += 1
     assert words == 89
@@ -533,6 +543,35 @@ def test_shared_monotone_runs_give_the_same_part():
     hits = cv._monotone_run.cache_info().hits
     build((1, 2, 2, 1, 1, 1), pattern, 'monotone')
     assert cv._monotone_run.cache_info().hits > hits
+
+
+def test_grammar_entries_are_shared_by_words_and_consumers():
+    grammar = ad.run_shapes
+    assert grammar.cache_info().maxsize is not None
+    w = (1, 2, 2, 1, 2, 1)
+    pattern = ('#1', '#2', '#1', '#1', '#2', '#3')
+    for route, cls in (('monotone', 'monotone'), ('nested', 'all')):
+        grammar.cache_clear()
+        cv._monotone_run.cache_clear()
+        cv._w_part.__wrapped__(w, pattern, route)
+        left = grammar.cache_info()
+        assert left.currsize > 0
+        # the list of the same family finds every run the route left
+        assert ad.enumerate_adapted(w, cls) == filtered_family(w, cls)
+        after = grammar.cache_info()
+        assert after.misses == left.misses, route
+        assert after.hits > left.hits, route
+    # a word that holds some of the runs builds only the others
+    grammar.cache_clear()
+    ad.enumerate_adapted((1, 2, 2, 1, 1, 1), 'monotone')
+    cold = grammar.cache_info().misses
+    grammar.cache_clear()
+    cv._monotone_run.cache_clear()
+    cv._w_part.__wrapped__(w, pattern, 'monotone')
+    left = grammar.cache_info()
+    assert ad.enumerate_adapted((1, 2, 2, 1, 1, 1), 'monotone') == \
+        filtered_family((1, 2, 2, 1, 1, 1), 'monotone')
+    assert grammar.cache_info().misses - left.misses < cold
 
 
 def test_parts_match_frozen_build_on_every_names_tuple():
