@@ -260,8 +260,9 @@ def crit_decomposition(scale):
     nmax = 7 if scale == 'full' else 5
     for n in range(1, nmax + 1):
         for args in (('x',) * n, _vars(n)):
-            total = cm._sum(cm.motzkin_k(w, [(v, 0) for v in args])
-                            for w in wd.enumerate_words(n))
+            total = ZERO
+            for w in wd.enumerate_words(n):
+                total = total + cm.motzkin_k(w, [(v, 0) for v in args])
             if total != cm.free_in_boolean(0, args):
                 return False, f'sum of pieces != free cumulant at n={n}'
         terms = sum(cm.motzkin_k_terms(w) for w in wd.enumerate_words(n))
@@ -707,8 +708,10 @@ def crit_free_moments(scale):
     for n in range(1, nmax + 1):
         names = _vars(n)
         ell = tuple(1 + (i % 2) for i in range(n))
-        total = cm._sum(rp.zeta_E(rp.replica_word(names, ell, w))
-                        for w in wd.enumerate_words(n))
+        total = ZERO
+        for w in wd.enumerate_words(n):
+            x = rp.replica_word(names, ell, w)
+            total = total + rp.zeta_E(x)
         if total != cv.free_product_sym(list(zip(names, ell))):
             return False, f'replica sum != free oracle at n={n}'
     numax = 5 if scale == 'full' else 4
@@ -716,8 +719,9 @@ def crit_free_moments(scale):
         for k in range(n):
             args = [('x', 0)] * n
             args[k] = (cm.UNIT, 0)
-            total = cm._sum(cm.motzkin_k(w, args)
-                            for w in wd.enumerate_words(n))
+            total = ZERO
+            for w in wd.enumerate_words(n):
+                total = total + cm.motzkin_k(w, args)
             if not total.is_zero():
                 return False, f'unit argument sum nonzero at n={n}, k={k}'
     return True, f'free moments to n={nmax}, unit vanishing to n={numax}'
@@ -731,8 +735,10 @@ def crit_convolution(scale):
         return beta_sym(label, tuple(f'a{i}' for i in idx))
 
     def total_beta(w):
-        return cm._sum(val for _pi, _ell, val
-                       in cv.boxplus_w_beta_terms(w, a[:len(w)]))
+        out = ZERO
+        for _pi, _ell, val in cv.boxplus_w_beta_terms(w, a[:len(w)]):
+            out = out + val
+        return out
 
     def b2m(p):
         return cm.expand_symbols(

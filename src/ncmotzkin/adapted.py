@@ -177,22 +177,32 @@ def enumerate_adapted(w, cls='all'):
 
 
 def zero_hat(w):
-    """Least element of NC(w), the grammar run_shapes read as its least
-    member: a run's least first block lies in the first block of every
-    other shape, so it is the shortest, and its gaps and the rest take
-    their least partitions. A word with no adapted partition raises."""
-    key = (tuple(w), 1, 0, None, False)
-    if not run_shapes(key):
-        raise ValueError(f'{key[0]} has no adapted partition')
-    return sp.normalize(_least(key, 0))
+    """Least element of NC(w): within a run of the base letter, consecutive
+    base positions join iff separated by higher letters; higher segments
+    are handled recursively. On some words that are not Motzkin words,
+    such as 12 or 1231, this leaves positions out or gives blocks that
+    are not adapted; those raise."""
+    w = tuple(w)
+    blocks = []
 
+    def rec(positions):
+        base = min(w[p - 1] for p in positions)
+        bases = [p for p in positions if w[p - 1] == base]
+        cur = [bases[0]]
+        for prev, p in zip(bases, bases[1:]):
+            gap = [q for q in positions if prev < q < p]
+            if gap:
+                cur.append(p)
+                rec(gap)
+            else:
+                blocks.append(tuple(cur))
+                cur = [p]
+        blocks.append(tuple(cur))
 
-def _least(key, at):
-    block, gaps, rest = min(run_shapes(key), key=lambda s: len(s[0]))
-    out = [tuple([at + p for p in block])]
-    for p, g in zip(block, gaps):
-        out += _least(g, at + p) if g else []
-    return out + (_least(rest, at + block[-1]) if rest else [])
+    rec(list(range(1, len(w) + 1)))
+    if sum(map(len, blocks)) != len(w) or not is_adapted(blocks, w):
+        raise ValueError(f'{w} is not a Motzkin word')
+    return sp.normalize(blocks)
 
 
 def admissible_coarsenings(pi, w):

@@ -317,8 +317,10 @@ def _sum(polys):
 def expand_symbols(poly, rule):
     """Replace every symbol by rule(symbol) -> Poly and re-expand; rule
     takes the raw symbol (kind, label, args)."""
-    return _sum(c * _prod(rule(symbol_of(i)) for i in mono)
-                for mono, c in poly.terms.items())
+    out = ZERO
+    for mono, c in poly.terms.items():
+        out = out + c * _prod(rule(symbol_of(i)) for i in mono)
+    return out
 
 
 def map_symbols(p, ids, f):
@@ -396,9 +398,11 @@ def motzkin_k(w, args):
         return ZERO
     label = labels.pop()
     names = tuple(v for v, _l in args)
-    return _sum((-1) ** (len(pi) - 1) * _prod(
-        beta_sym(label, _restrict(names, b)) for b in pi)
-        for pi in ad.enumerate_adapted(w, 'monotone_irr'))
+    out = ZERO
+    for pi in ad.enumerate_adapted(w, 'monotone_irr'):
+        out = out + (-1) ** (len(pi) - 1) * _prod(
+            beta_sym(label, _restrict(names, b)) for b in pi)
+    return out
 
 
 def motzkin_k_terms(w):

@@ -47,17 +47,30 @@ def test_zero_hat_examples():
     assert ad.zero_hat((1, 2, 2, 2, 1)) == \
         ((1, 5), (2,), (3,), (4,))
     assert ad.zero_hat((1, 1, 1)) == ((1,), (2,), (3,))
+    # NC(w) of these words has more than 2^40 elements: zero_hat must not
+    # list them, nor the first blocks of its runs
+    w = (1,) + (2,) * 40 + (1,)
+    assert ad.zero_hat(w) == ((1, 42),) + tuple((p,) for p in range(2, 42))
+    w = (1, 2) * 20 + (1,)
+    assert ad.zero_hat(w) == \
+        (tuple(range(1, 42, 2)),) + tuple((p,) for p in range(2, 42, 2))
 
 
 def test_zero_hat_is_least():
-    # the family from the predicate, not from the grammar zero_hat folds
     for n in range(1, 6):
-        family = sp.noncrossing_partitions(n)
         for w in wd.enumerate_words(n):
-            verts = [pi for pi in family if ad.is_adapted(pi, w)]
+            verts = ad.enumerate_adapted(w, 'all')
             bot = ad.zero_hat(w)
             assert bot in verts
             assert all(sp.refines(bot, v) for v in verts)
+
+
+def test_zero_hat_raises_where_its_scan_fails():
+    # the scan leaves 2 out of 12, and makes 2 and 3 siblings in 1231
+    for w in ((1, 2), (2, 1), (2, 1, 2), (1, 2, 3, 1)):
+        with pytest.raises(ValueError, match='not a Motzkin word'):
+            ad.zero_hat(w)
+    assert ad.zero_hat((1, 3, 1)) == ((1, 3), (2,))
 
 
 def test_closure_equals_filter():
