@@ -20,40 +20,61 @@ def block_subword(w, block):
     return tuple(w[p - 1] for p in block)
 
 
-def _block_ok(w, block):
-    v = block_subword(w, block)
-    if v[0] != v[-1] or v[0] != min(v):
-        return False
-    return all(abs(a - b) <= 1 for a, b in zip(v, v[1:]))
+def _adapted(pi, w, monotone):
+    """Whether pi is adapted to w, or monotonically adapted, by one
+    left-to-right scan over the positions of w; raises ValueError unless
+    pi's blocks, in any order, partition 1..len(w).
 
-
-def _adapted_nesting(pi, w):
-    """The nesting map of pi if pi is adapted to w, else None."""
-    pi = tuple(tuple(b) for b in pi)
-    if sp.ground_size(pi) != len(w):
+    The stack holds the blocks opened and not yet closed, above an entry
+    for the top level. Each entry is [the block's elements not yet
+    reached as an int mask, its first letter, its last letter so far,
+    the letter taken by the blocks in its current gap or 0]. A position
+    either continues the block on top, or opens a block, or, as a later
+    element of a block below the top, crosses the top. With `monotone`,
+    a block's letters are constant and its depth is its letter offset by
+    min(w) - 1."""
+    n = len(w)
+    if sp.ground_size(pi) != n:
         raise ValueError('partition/word length mismatch')
-    try:
-        nest = sp.nesting(pi)
-    except ValueError:
-        return None
-    if not all(_block_ok(w, b) for b in pi):
-        return None
-    letter = {}
-    for v, (outer, depth) in nest.items():
-        h = w[v[0] - 1]
-        if depth > h:
-            return None
-        gap = None
-        if outer is not None:
-            # the gap of the nearest outer block holding v, bracketed by
-            # the two letters of its bridge
-            i = bisect_left(outer, v[0])
-            gap = (outer, i)
-            if h < wd.bridge_height((w[outer[i - 1] - 1], w[outer[i] - 1])):
-                return None
-        if letter.setdefault(gap, h) != h:
-            return None
-    return nest
+    opens = {m & -m: m for m in sp._masks(pi, n)}
+    base = min(w) if monotone else None
+    stack = [[0, 0, 0, 0]]
+    bit = 1
+    for y in w:
+        bit <<= 1
+        top = stack[-1]
+        rest, h, last, gap = top
+        if rest & bit:
+            # a step of at most 1, never below the first letter, nor
+            # above the letter of the gap it closes: the gap's bridge
+            if y < h or abs(y - last) > 1 or gap and y > gap \
+                    or base is not None and y != h:
+                return False
+            rest ^= bit
+            if rest:
+                top[:] = rest, h, y, 0
+            elif y != h:
+                return False
+            else:
+                stack.pop()
+            continue
+        m = opens.get(bit)
+        if m is None:
+            return False  # a crossing
+        if not gap:
+            # the first block of a gap takes its letter, at least the
+            # bridge's left letter; at top level that letter is 0
+            if y < last:
+                return False
+            top[3] = y
+        elif y != gap:
+            return False
+        depth = len(stack)
+        if depth > y or base is not None and depth != y - base + 1:
+            return False
+        if m != bit:
+            stack.append([m ^ bit, y, y, 0])
+    return True
 
 
 def is_adapted(pi, w):
@@ -61,26 +82,18 @@ def is_adapted(pi, w):
     subword is a Motzkin word, depths are bounded by subword heights,
     subword heights dominate bridge heights, and neighboring blocks (in
     one gap of a common nearest outer block, or all at top level) have
-    equal heights."""
-    return _adapted_nesting(pi, tuple(w)) is not None
+    equal heights. One scan checks all of these and that pi is
+    noncrossing; blocks that do not partition 1..len(w) raise
+    ValueError."""
+    return _adapted(pi, tuple(w), False)
 
 
 def is_monotone(pi, w):
     """Monotonically adapted: adapted, every block subword constant, and
     each block's depth equals its (constant) letter offset by the height:
-    d(V) = h(v) - h(w) + 1."""
-    w = tuple(w)
-    nest = _adapted_nesting(pi, w)
-    if nest is None:
-        return False
-    base = min(w)
-    for v, (_o, depth) in nest.items():
-        sub = block_subword(w, v)
-        if len(set(sub)) != 1:
-            return False
-        if depth != sub[0] - base + 1:
-            return False
-    return True
+    d(V) = h(v) - h(w) + 1. The scan of is_adapted, checking these as
+    well."""
+    return _adapted(pi, tuple(w), True)
 
 
 @lru_cache(maxsize=1024)
@@ -252,7 +265,7 @@ def coarsening_closure(w):
 def join_adapted(pi, w, rho, w2):
     if tuple(w) != tuple(w2):
         raise ValueError('join requires a common word')
-    joined = sp.join_nc(sp.normalize(pi), sp.normalize(rho))
+    joined = sp.join_nc(pi, rho)
     if not is_adapted(joined, w):
         raise ValueError('join left the adapted family')
     return joined

@@ -121,6 +121,7 @@ def _adapted_class(args):
 
 def cmd_adapted(args):
     w = wd.parse_word(args.word)
+    wd.height(w)  # raises on a word that is not a Motzkin word
     cls = _adapted_class(args)
     out = ad.enumerate_adapted(w, cls)
     if args.dot:

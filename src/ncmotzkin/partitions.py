@@ -6,9 +6,12 @@ tuple of increasing 1-based elements, blocks ordered by their minima.
 The nesting scan behind `is_noncrossing` and `nesting` reads a block's
 first element as its minimum and its last as its maximum, so it needs
 increasing blocks: the canonical form `normalize` produces. `join_nc`
-holds blocks as int masks, bit x for element x, and returns the
-canonical form. NC(n) and Int(n) are generated from their members on
-[n-1], NC_irr(n) from NC(n-1).
+holds blocks as int masks, bit x for element x, built by `_masks`,
+which checks in the same pass, with normalize's messages, that the
+blocks partition 1..n in any order; it joins them and returns the
+canonical form. `adapted.is_adapted` checks its input with `_masks`
+too. NC(n) and Int(n) are generated from their members on [n-1],
+NC_irr(n) from NC(n-1).
 """
 
 from functools import lru_cache
@@ -33,7 +36,7 @@ def normalize(blocks):
 
 
 def ground_size(pi):
-    return sum(len(b) for b in pi)
+    return sum(map(len, pi))
 
 
 def _check_size(n):
@@ -195,11 +198,29 @@ def siblings(nest):
     return kids
 
 
-def _mask(block):
-    m = 0
-    for x in block:
-        m |= 1 << x
-    return m
+def _masks(pi, n):
+    """The blocks of pi as int masks, bit x for element x, checked in the
+    same pass with normalize's messages: the caller has checked that pi
+    holds n elements, so they partition 1..n when each lies in 1..n and
+    none repeats. Blocks and their elements may come in any order."""
+    if not pi:
+        raise ValueError('the empty partition has no ground set 1..n')
+    masks = []
+    union = 0
+    for b in pi:
+        if not b:
+            raise ValueError('empty block')
+        m = 0
+        for x in b:
+            if not 0 < x <= n:
+                raise ValueError('blocks must cover 1..n')
+            bit = 1 << x
+            if union & bit:
+                raise ValueError(f'element {x} appears twice')
+            union |= bit
+            m |= bit
+        masks.append(m)
+    return masks
 
 
 def _bits(m):
@@ -214,8 +235,9 @@ def _bits(m):
 
 def join_nc(pi, rho):
     """Least upper bound of two noncrossing partitions of [n] in NC(n),
-    on blocks held as int masks: merge each block of rho with the blocks
-    it meets, then merge crossing blocks until none cross.
+    on blocks held as int masks: check both as masks (_masks), merge
+    each block of rho with the blocks it meets, then merge crossing
+    blocks until none cross. Returns the canonical form.
 
     The crossings are merged in one scan in order of minima, with a
     stack of the blocks whose span holds the current minimum. A block b
@@ -228,11 +250,10 @@ def join_nc(pi, rho):
     n = ground_size(pi)
     if ground_size(rho) != n:
         raise ValueError('ground set mismatch')
-    blocks = [_mask(b) for b in pi]
-    for b in rho:
-        m = _mask(b)
+    blocks = _masks(pi, n)
+    for m in _masks(rho, n):
         met = [c for c in blocks if c & m]
-        if len(met) > 1:  # else b lies in one block already
+        if len(met) > 1:  # else m lies in one block already
             blocks = [c for c in blocks if not c & m]
             for c in met:
                 m |= c
@@ -248,17 +269,22 @@ def join_nc(pi, rho):
             b |= stack.pop()
             low = b & -b
         stack.append(b)
-    return tuple(tuple(_bits(m))
-                 for m in sorted(done + stack, key=lambda m: m & -m))
+    return tuple(sorted(tuple(_bits(m)) for m in done + stack))
 
 
 def refines(pi, rho):
-    """True iff every block of pi is contained in a block of rho."""
+    """True iff every block of pi is contained in a block of rho, both
+    partitions of one ground set."""
     where = {}
     for i, b in enumerate(rho):
         for x in b:
             where[x] = i
-    return all(len({where[x] for x in b}) == 1 for b in pi)
+    try:
+        if ground_size(pi) == len(where):
+            return all(len({where[x] for x in b}) == 1 for b in pi)
+    except KeyError:  # an element of pi that rho lacks
+        pass
+    raise ValueError('ground set mismatch')
 
 
 def format_partition(pi):

@@ -46,12 +46,6 @@ def height(letters):
     return w[0]
 
 
-def bridge_height(pair):
-    """Height of a two-letter bridge: the maximum of its letters."""
-    a, b = pair
-    return max(a, b)
-
-
 def shift_to_reduced(letters):
     """Shift a Motzkin word of height j down to height 1."""
     w = check_word(letters)

@@ -1,3 +1,4 @@
+from bisect import bisect_left
 from itertools import product as iproduct
 from math import comb
 
@@ -99,6 +100,52 @@ def test_join_is_least_upper_bound(w):
 def test_join_requires_common_word():
     with pytest.raises(ValueError):
         ad.join_adapted(((1,),), (1,), ((1,),), (2,))
+    with pytest.raises(ValueError, match='ground set mismatch'):
+        ad.join_adapted(((1, 2),), (1, 1), ((1,), (2,), (3,)), (1, 1))
+
+
+# Inputs that are not partitions of 1..n, each with the message
+# normalize gives it. The join and the adaptedness scan check them as
+# masks, in either argument of the join.
+NOT_PARTITIONS = (
+    (((1,), ()), 'empty block'),
+    ((), 'the empty partition has no ground set 1..n'),
+    (((1, 2), (2,)), 'element 2 appears twice'),
+    (((1,), (1,)), 'element 1 appears twice'),
+    (((1, 1),), 'element 1 appears twice'),
+    (((1, 3),), 'blocks must cover 1..n'),
+    (((0, 1),), 'blocks must cover 1..n'),
+)
+
+
+@pytest.mark.parametrize('bad, message', NOT_PARTITIONS)
+def test_non_partitions_raise(bad, message):
+    with pytest.raises(ValueError, match=message):
+        sp.normalize(bad)
+    n = sp.ground_size(bad)
+    w = (1,) * n
+    good = tuple((x,) for x in range(1, n + 1))
+    for pi, rho in ((bad, good), (good, bad)):
+        with pytest.raises(ValueError, match=message):
+            sp.join_nc(pi, rho)
+        with pytest.raises(ValueError, match=message):
+            ad.join_adapted(pi, w, rho, w)
+    for predicate in (ad.is_adapted, ad.is_monotone):
+        with pytest.raises(ValueError, match=message):
+            predicate(bad, w)
+
+
+def test_adaptedness_reads_blocks_in_any_order():
+    # zero_hat passes its blocks unsorted; elements may come in any order
+    w = (1, 2, 2, 1)
+    for pi in (((2,), (1, 4), (3,)), ((4, 1), (3,), (2,)), ((2, 1), (3, 4))):
+        want = sp.normalize(pi)
+        assert ad.is_adapted(pi, w) == ad.is_adapted(want, w)
+        assert ad.is_monotone(pi, w) == ad.is_monotone(want, w)
+    assert ad.is_adapted(((2, 1),), (1, 1))
+    for predicate in (ad.is_adapted, ad.is_monotone):
+        with pytest.raises(ValueError, match='partition/word length'):
+            predicate(((1,),), (1, 1))
 
 
 def test_interval_splits():
@@ -227,6 +274,68 @@ def frozen_adapted_classes(w):
             'irr': [p for p in adapted if sp.is_irreducible(p)],
             'monotone': monotone,
             'monotone_irr': [p for p in monotone if sp.is_irreducible(p)]}
+
+
+# is_adapted and is_monotone as written before the one-scan predicate,
+# kept as its reference: the nesting map, a check of each block
+# subword, a bisect per block for its gap and a dict of gap letters.
+
+def frozen_adapted_nesting(pi, w):
+    """The nesting map of pi if pi is adapted to w, else None."""
+    try:
+        nest = sp.nesting(pi)
+    except ValueError:
+        return None
+    for v in pi:
+        sub = ad.block_subword(w, v)
+        if sub[0] != sub[-1] or sub[0] != min(sub) or any(
+                abs(a - b) > 1 for a, b in zip(sub, sub[1:])):
+            return None
+    letter = {}
+    for v, (outer, depth) in nest.items():
+        h = w[v[0] - 1]
+        if depth > h:
+            return None
+        gap = None
+        if outer is not None:
+            i = bisect_left(outer, v[0])
+            gap = (outer, i)
+            if h < max(w[outer[i - 1] - 1], w[outer[i] - 1]):
+                return None
+        if letter.setdefault(gap, h) != h:
+            return None
+    return nest
+
+
+def frozen_monotone(nest, w):
+    """Whether a partition with nesting map nest from
+    frozen_adapted_nesting (None if not adapted) is monotone."""
+    if nest is None:
+        return False
+    base = min(w)
+    for v, (_o, depth) in nest.items():
+        sub = ad.block_subword(w, v)
+        if len(set(sub)) != 1 or depth != sub[0] - base + 1:
+            return False
+    return True
+
+
+def test_adaptedness_scan_matches_frozen():
+    # every NC(n) to n=6 and every set partition to n=5, crossing or not,
+    # on every word over 1..3, Motzkin or not
+    cases = 0
+    for n in range(1, 7):
+        family = sp.noncrossing_partitions(n)
+        if n < 6:
+            family += sp.enumerate_all(n)
+        for w in iproduct((1, 2, 3), repeat=n):
+            for pi in family:
+                nest = frozen_adapted_nesting(pi, w)
+                assert ad.is_adapted(pi, w) == (nest is not None), (pi, w)
+                assert ad.is_monotone(pi, w) == frozen_monotone(nest, w), \
+                    (pi, w)
+                cases += 1
+    assert cases == 121731
 
 
 def frozen_hasse(vertices, leq):

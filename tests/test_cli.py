@@ -95,6 +95,13 @@ def test_zero_hat(capsys):
     assert out == '{{1},{2,5},{3},{4}}\n'
 
 
+def test_non_motzkin_word_is_a_domain_error(capsys):
+    for command in ('adapted', 'zero-hat'):
+        code, out, err = run(capsys, command, '--word', '12')
+        assert code == 1 and out == ''
+        assert err == 'error: (1, 2) is not a Motzkin word\n'
+
+
 def test_poset_count(capsys):
     code, out, _ = run(capsys, 'poset', '--n', '3', '--irr', '--count')
     assert code == 0

@@ -49,6 +49,10 @@ def test_refines():
     fine = ((1,), (2,), (3,))
     assert sp.refines(fine, ((1, 2, 3),))
     assert not sp.refines(((1, 2), (3,)), ((1, 3), (2,)))
+    for pi, rho in ((((1,), (2,)), ((1,),)), (((1,),), ((1,), (2,))),
+                    (((1,), (3,)), ((1, 2),))):
+        with pytest.raises(ValueError, match='ground set mismatch'):
+            sp.refines(pi, rho)
 
 
 nc_pairs = st.integers(1, 5).flatmap(
