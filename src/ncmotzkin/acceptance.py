@@ -174,14 +174,18 @@ def crit_lattice(scale):
     for n in range(1, njoin + 1):
         for w in wd.enumerate_words(n):
             verts = ad.enumerate_adapted(w, 'all')
-            for a in verts:
-                for b in verts:
-                    j = ad.join_adapted(a, w, b, w)
-                    uppers = [v for v in verts
-                              if sp.refines(a, v) and sp.refines(b, v)]
-                    if j not in uppers:
+            # each vertex's up-set as an int bitset over the indices, so
+            # upper bounds are an AND and leastness a subset test
+            up = [sum(1 << i for i, v in enumerate(verts) if sp.refines(u, v))
+                  for u in verts]
+            index = {v: i for i, v in enumerate(verts)}
+            for a, up_a in zip(verts, up):
+                for b, up_b in zip(verts, up):
+                    uppers = up_a & up_b
+                    j = index.get(ad.join_adapted(a, w, b, w))
+                    if j is None or not uppers >> j & 1:
                         return False, f'join not an upper bound at {w}'
-                    if not all(sp.refines(j, v) for v in uppers):
+                    if uppers & ~up[j]:
                         return False, f'join not least at {w}'
     return True, f'closure to n={nclos}, join to n={njoin}'
 

@@ -297,23 +297,24 @@ def _nested_part(w, names):
     mirrored, a run being a sum over both labels and so its own mirror.
     Its atom at a position followed by a gap is the label-1 replica
     times the gap's run, embedded, and its sum multiplies the run of the
-    rest. K itself is Forests' recursion, memoized for the whole part on
-    atom keys (position, key of the gap's run or None)."""
+    rest. K itself is the inversion formula K_w = sum over NC_irr(w) of
+    (-1)^(|pi|-1) B_pi, folded over the same grammar (replicas.Inversion)
+    and memoized for the whole part on atom keys (position, key of the
+    gap's run or None)."""
     atoms = {(p, None): (j, rp.replica(v, 1, j))
              for p, (v, j) in enumerate(zip(names, w), start=1)}
-    forests = rp.Forests(atoms)
+    inversion = rp.Inversion(atoms)
 
     @lru_cache(maxsize=None)
     def run(key, at):
         out = rp.BElement()
         for block, gaps, rest in ad.run_shapes(key):
-            forest = tuple([((at + p, g), ())
-                            for p, g in zip_longest(block, gaps)])
-            for (p, g), _kids in forest:
+            keys = tuple([(at + p, g) for p, g in zip_longest(block, gaps)])
+            for p, g in keys:
                 if (p, g) not in atoms:
                     atoms[p, g] = (w[p - 1], atoms[p, None][1]
                                    * run(g, p).embed())
-            k = forests.value(forest)
+            k = inversion.K(keys)
             out = out + (run(rest, at + block[-1]) if rest else rp.B_ONE) \
                 * (k + k.mirror())
         return out

@@ -25,7 +25,7 @@ and 4,525.
 from bisect import bisect_left
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product as iproduct
+from itertools import product as iproduct, zip_longest
 
 from .cumulants import (Poly, ONE, ZERO, m_sym, mirror, moment_to_boolean,
                         format_belement)
@@ -651,8 +651,10 @@ class Forests:
     on these nested tuples of atom keys, never on Rep values, so two
     evaluations share a subforest exactly when they build the same
     argument from the same atoms. With motzkin=True a forest's value is
-    K_w by recursion over the irreducible adapted partitions of its
-    word; otherwise it is B_w."""
+    K_w by the recursion that defines it, K_w = B_w minus K_pi summed
+    over the irreducible adapted partitions pi of its word with more
+    than one block; otherwise it is B_w. `nested` gives K_pi or B_pi of
+    a plan, the product over its outer blocks."""
 
     def __init__(self, atoms, motzkin=True):
         self.atoms = atoms
@@ -689,6 +691,65 @@ class Forests:
         out = B_ONE
         for tree in plan:
             out = out * self.value(_graft(tree, forest))
+        return out
+
+
+class Inversion(Forests):
+    """Motzkin cumulants of flat forests of atoms by the inversion formula
+    K_w = sum over NC_irr(w) of (-1)^(|pi|-1) B_pi, the grammar
+    adapted.run_shapes folded into BElements: one B_w_rep per distinct
+    block and gap sums, no K recursion and no plan per partition.
+
+    The sum of a run is that signed sum over the run's partitions, so
+    K_w is the sum of the irreducible run of w. A shape splits a
+    partition into its first block and partitions sigma of some gaps and
+    of the rest, and (-1)^(|pi|-1) into one factor -(-1)^(|sigma|-1) per
+    sigma. B_pi is multilinear, so each gap's partitions sum inside the
+    argument of the position just before it: the atom times the gap's
+    sum, embedded. A shape thus adds B of its first block times the sum
+    of the rest, negated once per gap with a run and once for a rest.
+    Sums are memoized on (run key, atom keys) and B values on forests of
+    atoms, for the life of the object. An argument that carries a gap's
+    sum is an atom of its own, keyed (atom key, run key, atom keys of
+    the gap) and added to `atoms`."""
+
+    def __init__(self, atoms):
+        super().__init__(atoms, motzkin=False)
+        self._sums = {}
+
+    def K(self, keys):
+        """K_w of the arguments of the atom keys `keys`, w their
+        letters."""
+        w = tuple([self.atoms[a][0] for a in keys])
+        return self._sum((w, 1, 0, None, True), keys)
+
+    def _sum(self, key, keys):
+        """The sum over the partitions sigma of the run `key` on the atoms
+        `keys` of (-1)^(|sigma|-1) times the nested B of sigma."""
+        out = self._sums.get((key, keys))
+        if out is None:
+            atoms = self.atoms
+            out = B_ZERO
+            for block, gaps, rest in ad.run_shapes(key):
+                plus = True
+                forest = []
+                for p, g in zip_longest(block, gaps):
+                    atom = keys[p - 1]
+                    if g:
+                        plus = not plus
+                        inner = keys[p:p + len(g[0])]
+                        base, atom = atom, (atom, g, inner)
+                        if atom not in atoms:
+                            letter, x = atoms[base]
+                            atoms[atom] = letter, \
+                                x * self._sum(g, inner).embed()
+                    forest.append((atom, ()))
+                b = self.value(tuple(forest))
+                if rest:
+                    plus = not plus
+                    b = b * self._sum(rest, keys[block[-1]:])
+                out = out + b if plus else out - b
+            self._sums[key, keys] = out
         return out
 
 
@@ -767,15 +828,12 @@ def K_pi_rep(w, pi, args):
 
 
 def K_closed_rep(w, args):
-    """Theorem-level closed form: signed sum of nested B_pi over the
-    irreducible adapted partitions of w."""
-    forest, atoms = _leaves(w, args)
-    nested_B = Forests(atoms, motzkin=False)
-    out = B_ZERO
-    for pi in ad.enumerate_adapted(w, 'irr'):
-        term = nested_B.nested(_plan(pi), forest)
-        out = out + (-1) ** (len(pi) - 1) * term
-    return out
+    """Theorem-level closed form: the signed sum of nested B_pi over the
+    irreducible adapted partitions of w, K_w = sum (-1)^(|pi|-1) B_pi,
+    folded over the grammar of NC(w) by Inversion."""
+    _forest, atoms = _leaves(w, args)
+    sp._check_size(len(atoms))
+    return Inversion(atoms).K(tuple(atoms))
 
 
 def beta_hat(label, variables):

@@ -88,13 +88,16 @@ words_upto = st.integers(1, 5).flatmap(
 @given(words_upto)
 def test_join_is_least_upper_bound(w):
     verts = ad.enumerate_adapted(w, 'all')
-    for a in verts:
-        for b in verts:
-            j = ad.join_adapted(a, w, b, w)
-            uppers = [v for v in verts
-                      if sp.refines(a, v) and sp.refines(b, v)]
-            assert j in uppers
-            assert all(sp.refines(j, v) for v in uppers)
+    # each partition's up-set as an int bitset over the indices
+    up = [sum(1 << i for i, v in enumerate(verts) if sp.refines(u, v))
+          for u in verts]
+    index = {v: i for i, v in enumerate(verts)}
+    for a, up_a in zip(verts, up):
+        for b, up_b in zip(verts, up):
+            uppers = up_a & up_b
+            j = index[ad.join_adapted(a, w, b, w)]
+            assert uppers >> j & 1
+            assert not uppers & ~up[j]
 
 
 def test_join_requires_common_word():

@@ -245,7 +245,7 @@ def test_convolve_length_limit(capsys, tmp_path):
                     f'{several} of length at most {limit}, this one has ' \
                     f'{limit + 1}\n'
     assert cli.CONVOLVE_MAX_LENGTH == {'monotone': (12, 11),
-                                       'replica': (9, 9), 'nested': (8, 8)}
+                                       'replica': (9, 9), 'nested': (9, 9)}
     code, out, err = run(capsys, 'convolve', '--mu1', 'missing.json',
                          '--mu2', 'missing.json', '--monomial',
                          'x,' * 12 + 'x')

@@ -497,19 +497,19 @@ def test_nested_part_matches_frozen_at_five_and_six():
                     assert got == frozen_nested_part(w, names), (w, names)
 
 
-class CountingForests:
-    """Stand-in for replicas.Forests whose value of a forest is the
-    product over its atoms of the constant terms of the atom's Rep
+class CountingInversion:
+    """Stand-in for replicas.Inversion whose K of a tuple of atoms is the
+    product over them of the constant terms of the atom's Rep
     coefficients, on the unit: 1 for a replica, and for a replica times
     an embedded gap run the count that run carries. The nested part then
     counts each block twice, once per label."""
 
-    def __init__(self, atoms, motzkin=True):
+    def __init__(self, atoms):
         self.atoms = atoms
 
-    def value(self, forest):
+    def K(self, keys):
         out = 1
-        for atom, _kids in forest:
+        for atom in keys:
             out *= sum(c.terms.get((), 0)
                        for c in self.atoms[atom][1].terms.values())
         return rp.BElement({0: out})
@@ -519,7 +519,7 @@ def test_nested_runs_grow_exactly_the_adapted_partitions(monkeypatch):
     # the sum of 2^|pi| over NC(w) checks every pruning rule of the run:
     # a run that grows a block that is not adapted, even one whose nested
     # cumulant vanishes, adds to the count
-    monkeypatch.setattr(rp, 'Forests', CountingForests)
+    monkeypatch.setattr(rp, 'Inversion', CountingInversion)
     words = 0
     for n in range(1, 8):
         for w in wd.enumerate_words(n):

@@ -450,6 +450,18 @@ def frozen_K_w_rep(w, args):
     return out
 
 
+def frozen_K_closed_rep(w, args):
+    # K_closed_rep as written before it folded the grammar of NC(w): one
+    # nesting plan per irreducible adapted partition, B_pi through Forests
+    forest, atoms = rp._leaves(w, args)
+    nested_B = rp.Forests(atoms, motzkin=False)
+    out = rp.B_ZERO
+    for pi in ad.enumerate_adapted(w, 'irr'):
+        term = nested_B.nested(rp._plan(pi), forest)
+        out = out + (-1) ** (len(pi) - 1) * term
+    return out
+
+
 def frozen_belement_mul(x, y):
     c0 = x.comp.get(0, ZERO)
     d0 = y.comp.get(0, ZERO)
@@ -539,7 +551,24 @@ def test_K_w_rep_matches_closed_forms_at_six_and_seven():
         args = ac._replicas(w, ell)
         names = ac._vars(len(w), 'v')
         assert rp.K_w_rep(w, args) == rp.K_closed_rep(w, args) == \
+            frozen_K_closed_rep(w, args) == \
             rp.K_closed_form_rep(w, names, ell), (w, ell)
+
+
+def test_K_closed_rep_matches_frozen_plans_to_five():
+    # with the test above: every labeling of every word over 1..3 to n=6
+    cases = 0
+    for n in range(1, 6):
+        for w in ac._am_words(n):
+            for ell in iproduct((1, 2), repeat=n):
+                args = ac._replicas(w, ell)
+                assert rp.K_closed_rep(w, args) == \
+                    frozen_K_closed_rep(w, args) == rp.K_w_rep(w, args), \
+                    (w, ell)
+                cases += 1
+    assert cases == 778
+    with pytest.raises(ValueError, match='n must be >= 1'):
+        rp.K_closed_rep((), [])
 
 
 def belement_elements():
