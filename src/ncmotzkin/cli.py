@@ -35,9 +35,9 @@ HASSE_MAX_VERTICES = 6500
 # replica strings and monomials: replica, n=9, one name 2.8-4.2 s, two
 # alternating 3.4-4.4 s, three 3.0 s, all distinct 3.2 s (29 MB); n=10,
 # one name 17.0-20.8 s, at the budget. nested, with each block's K by
-# the inversion formula folded over the grammar: n=9, one name 8.0-8.4 s,
-# two alternating 8.9-9.4 s, three 9.5-11.1 s, all distinct 9.2-11.0 s
-# (at most 36 MB); n=8 1.1-1.9 s. Three and all distinct names time
+# the inversion formula folded over the grammar: n=9, one name 6.1 s,
+# two alternating 8.3 s, three 8.5 s, all distinct 8.1 s (at most
+# 36 MB); n=8 1.2-1.5 s. Three and all distinct names time
 # boxplus_total_sym, since their moment tables are too large to write.
 CONVOLVE_MAX_LENGTH = {'monotone': (12, 11), 'replica': (9, 9),
                        'nested': (9, 9)}

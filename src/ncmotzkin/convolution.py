@@ -225,8 +225,9 @@ def boxplus_w_sym(w, variables, route='replica'):
     and nested routes build only half of it: 'replica' sums the
     labelings whose first label is 1 and adds the mirror of that sum
     (cumulants.mirror); 'nested' evaluates each block's Motzkin cumulant
-    at label 1 only and adds its mirror. 'monotone' builds both labels,
-    so it stays an independent check of the other two.
+    at label 1 only and adds the mirror of each run's label-1 half.
+    'monotone' builds both labels, so it stays an independent check of
+    the other two.
 
     The part depends on w, the route and the pattern in which the
     variable names repeat, never on a distribution: it is built once per
@@ -296,18 +297,20 @@ def _nested_part(w, names):
     the mirror of that, since the label-2 arguments are the label-1 ones
     mirrored, a run being a sum over both labels and so its own mirror.
     Its atom at a position followed by a gap is the label-1 replica
-    times the gap's run, embedded, and its sum multiplies the run of the
-    rest. K itself is the inversion formula K_w = sum over NC_irr(w) of
-    (-1)^(|pi|-1) B_pi, folded over the same grammar (replicas.Inversion)
-    and memoized for the whole part on atom keys (position, key of the
-    gap's run or None)."""
+    times the gap's run, embedded. The run of the rest is its own mirror
+    too, so a run is its label-1 half, each first block's K times the
+    run of the rest, plus the mirror of that half. K itself is the
+    inversion formula K_w = sum over NC_irr(w) of (-1)^(|pi|-1) B_pi,
+    folded over the same grammar (replicas.Inversion) and memoized for
+    the whole part on atom keys (position, key of the gap's run or
+    None)."""
     atoms = {(p, None): (j, rp.replica(v, 1, j))
              for p, (v, j) in enumerate(zip(names, w), start=1)}
     inversion = rp.Inversion(atoms)
 
     @lru_cache(maxsize=None)
     def run(key, at):
-        out = rp.BElement()
+        half = rp.B_ZERO
         for block, gaps, rest in ad.run_shapes(key):
             keys = tuple([(at + p, g) for p, g in zip_longest(block, gaps)])
             for p, g in keys:
@@ -315,9 +318,8 @@ def _nested_part(w, names):
                     atoms[p, g] = (w[p - 1], atoms[p, None][1]
                                    * run(g, p).embed())
             k = inversion.K(keys)
-            out = out + (run(rest, at + block[-1]) if rest else rp.B_ONE) \
-                * (k + k.mirror())
-        return out
+            half = half + (run(rest, at + block[-1]) * k if rest else k)
+        return half + half.mirror()
 
     out = run((w, 1, 0, None, False), 0).zeta()
     del run  # run refers to itself: free its memo now, not at a collection
