@@ -4,6 +4,7 @@ scale trims enumeration bounds for a fast smoke run; 'full' runs the
 complete desk-scale verification."""
 
 import time
+from collections import namedtuple
 from fractions import Fraction
 from itertools import product as iproduct
 
@@ -339,6 +340,10 @@ def _check_examples_replicas():
                 return f'E(e_{i},{n}) mismatch'
             if rp.expectation(rp.p_proj(n)) != rp.BElement({n: 1}):
                 return f'E(p_{n}) mismatch'
+    for j, j1 in iproduct((1, 2, 3), repeat=2):
+        for f in (rp.B_w_rep, rp.K_w_rep):
+            if f((j1,), [rp.p_proj(j)]) != rp.BElement({j: 1}):
+                return f'order-one {f.__name__[0]} of a projection mismatch'
 
     def B(w, labels):
         return rp.B_w_rep(w, _replicas(w, labels, 'x'))
@@ -386,33 +391,50 @@ def _check_examples_replicas():
     return None
 
 
-def _check_constant_word_lemma(nmax):
-    for n in range(1, nmax + 1):
-        for j in (1, 2):
-            w = (j,) * n
-            names = _vars(n, 'v')
-            for label in (1, 2):
-                aa = _replicas(w, (label,) * n)
-                got = rp.expectation(rp.rep_product(aa))
-                if got != rp.BElement({j: m_sym(label, names)}):
-                    return f'joint moment mismatch at {w}'
-                sep = [aa[0]]
-                for a in aa[1:]:
-                    sep.append(rp.p_proj(j + 1))
-                    sep.append(a)
-                got = rp.expectation(rp.rep_product(sep))
-                if got != rp.BElement({j: rp.beta_hat(label, names)}):
-                    return f'separated cumulant mismatch at {w}'
-            if n >= 2:
-                ell = tuple(1 + (i % 2) for i in range(n))
-                aa = _replicas(w, ell)
-                got = rp.expectation(rp.rep_product(aa))
-                want = ONE
-                for i in range(n):
-                    want = want * m_sym(ell[i], (names[i],))
-                if got != rp.BElement({j: want}):
-                    return f'alternating factorization mismatch at {w}'
-    return None
+Lemma = namedtuple('Lemma', 'name lo cases sides tops', defaults=((5, 4),))
+Lemma.__doc__ = """One lemma of criterion 8 on the replicas a_i = v_i(w_i)
+with label ell_i, for w in _am_words(n) and every labeling ell: for each
+case in cases(w, ell, top), sides(w, ell, aa, *case) gives two sides that
+must be equal, aa being the _Args of (w, ell). The row runs for
+lo <= n <= top, where top is tops[0] at full scale and tops[1] at quick
+scale."""
+
+
+def _E(args):
+    return rp.expectation(rp.rep_product(args))
+
+
+def _moment(_w, args):
+    return _E(args)
+
+
+class _Args(list):
+    """The replicas of one (w, ell), built once for every row, with
+    f(w, variant) memoized so that rows share the plain moment and the
+    plain B_w and K_w of each variant. The variant bs multiplies a_i by
+    p_(bs[i]) wherever bs[i] > 0."""
+
+    def __init__(self, w, ell):
+        super().__init__(_replicas(w, ell))
+        self.w = w
+        self.memo = {}
+
+    def variant(self, bs):
+        return [a * rp.p_proj(b) if b else a for a, b in zip(self, bs)]
+
+    def plain(self, f, bs=None):
+        key = f, bs or (0,) * len(self)
+        if key not in self.memo:
+            self.memo[key] = f(self.w, self.variant(key[1]))
+        return self.memo[key]
+
+
+def _at(aa, k, x):
+    return aa[:k] + [x] + aa[k + 1:]
+
+
+def _ins(aa, k, x):
+    return aa[:k] + [x] + aa[k:]
 
 
 def _labeled_ok(w, ell):
@@ -420,289 +442,252 @@ def _labeled_ok(w, ell):
                for i in range(len(w) - 1))
 
 
-def _check_factorization(nmax):
-    E = rp.expectation
-    for n in range(2, nmax + 1):
+def _alternating(ell):
+    return all(a != b for a, b in zip(ell, ell[1:]))
+
+
+def _flat(w):
+    """Whether w = (j,)*n with j in (1, 2)."""
+    return w[0] < 3 and len(set(w)) == 1
+
+
+def _constant(w, ell, top):
+    return [()] if _flat(w) and len(set(ell)) == 1 else []
+
+
+def _every(w, ell, top):
+    return [()]
+
+
+def _factorized(w, ell, aa):
+    want = ONE
+    for i, label in enumerate(ell):
+        want = want * m_sym(label, (f'v{i + 1}',))
+    return aa.plain(_moment), rp.BElement({w[0]: want})
+
+
+def _factorization(w, ell, aa, k, b):
+    head = aa[:k - 1] + [aa[k - 1] * rp.p_proj(b) if b else aa[k - 1]]
+    return (_E(head + [rp.p_proj(w[0])] + aa[k:]),
+            _E(head) * _E(aa[k:]))
+
+
+def _local_maxima(w, ell, top):
+    n = len(w)
+    if not _labeled_ok(w, ell):
+        return []
+    out = []
+    for k in range(n):
+        if k > 0 and (ell[k - 1] == ell[k] or w[k - 1] > w[k]):
+            continue
+        if k < n - 1 and (ell[k] == ell[k + 1] or w[k] < w[k + 1]):
+            continue
+        flat = ((k == 0 or w[k - 1] == w[k])
+                and (k == n - 1 or w[k] == w[k + 1]))
+        # the flat case needs every same-label replica at a letter >= the
+        # local one; lower tails annihilate the complement letter
+        # otherwise (see the regression anchors in the test suite)
+        if not (flat and any(m != k and ell[m] == ell[k] and w[m] < w[k]
+                             for m in range(n))):
+            out.append((k,))
+    return out
+
+
+def _nests(w, ell, top):
+    n = len(w)
+    if not _labeled_ok(w, ell):
+        return []
+    return [(k, m) for k in range(1, n) for m in range(k, n - 1)
+            if all(w[i] == w[k] for i in range(k, m + 1))
+            and w[k - 1] < w[k] > w[m + 1]
+            and _alternating(ell[k - 1:m + 2])
+            # interior inner replicas must not see a lower same-label
+            # letter outside the nest
+            and not any(ell[p] == ell[q] and w[p] < w[q]
+                        for q in range(k + 1, m)
+                        for p in list(range(k)) + list(range(m + 1, n)))]
+
+
+def _nesting(w, ell, aa, k, m):
+    mid = [aa[k]]
+    for a in aa[k + 1:m + 1]:
+        mid += [rp.p_proj(w[k]), a]
+    return (_E(aa[:k] + mid + aa[m + 1:]),
+            _E(aa[:k] + [_E(mid).embed()] + aa[m + 1:]))
+
+
+def _additivity(w, ell, aa):
+    ys = _replicas(w, (2,) * len(w), 'y')
+    return (rp.K_w_rep(w, [x + y for x, y in zip(aa, ys)]),
+            aa.plain(rp.K_w_rep) + rp.K_w_rep(w, ys))
+
+
+def _standalone(name, f, at_height):
+    """The row f(w with j inserted at k, args with p_j inserted at k) = 0
+    for each j in 1..3 (only the height of w when at_height) that leaves
+    a Motzkin word."""
+    def cases(w, ell, top):
+        return [(k, j) for k in range(len(w) + 1) for j in (1, 2, 3)
+                if (j == w[0] or not at_height)
+                and wd.is_motzkin(w[:k] + (j,) + w[k:])]
+
+    def sides(w, ell, aa, k, j):
+        return (f(w[:k] + (j,) + w[k:], _ins(aa, k, rp.p_proj(j))),
+                rp.B_ZERO)
+    return Lemma(name, 2, cases, sides, (4, 3))
+
+
+def _projected(name, f, proj, same):
+    """The row f(w, variant with a_k times p_x) = 0, or = f(w, variant)
+    when same, for k < n - 1 and x = proj(w, ell, k, height) when that
+    is nonzero. The variants are the plain arguments and, when
+    n <= top - 2, those with one extra p_1 or p_2 on one of a_1..a_(n-1)."""
+    def cases(w, ell, top):
+        n = len(w)
+        bss = [(0,) * n] + [(0,) * i + (b,) + (0,) * (n - 1 - i)
+                            for i in range(n - 1) for b in (1, 2)
+                            if n <= top - 2]
+        return [(bs, k) for bs in bss for k in range(n - 1)
+                if proj(w, ell, k, w[0])]
+
+    def sides(w, ell, aa, bs, k):
+        v = aa.variant(bs)
+        lhs = f(w, _at(v, k, v[k] * rp.p_proj(proj(w, ell, k, w[0]))))
+        return lhs, aa.plain(f, bs) if same else rp.B_ZERO
+    return Lemma(name, 2, cases, sides)
+
+
+LEMMAS = [
+    Lemma('constant-moment', 1, _constant,
+          lambda w, ell, aa: (aa.plain(_moment), rp.BElement(
+              {w[0]: m_sym(ell[0], _vars(len(w), 'v'))}))),
+    Lemma('constant-separated', 1, _constant,
+          lambda w, ell, aa: (
+              _E([x for a in aa for x in (rp.p_proj(w[0] + 1), a)][1:]),
+              rp.BElement({w[0]: rp.beta_hat(ell[0], _vars(len(w), 'v'))}))),
+    Lemma('constant-alternating', 2,
+          lambda w, ell, top: [()] if _flat(w) and ell[0] == 1
+          and _alternating(ell) else [],
+          _factorized),
+    Lemma('factorization', 2,
+          lambda w, ell, top: [(k, b) for k in range(1, len(w))
+                               if w[k - 1] == w[0]
+                               for b in (0, w[0], w[0] + 1)],
+          _factorization),
+    Lemma('local-maximum', 1, _local_maxima,
+          lambda w, ell, aa, k: (aa.plain(_moment), _E(
+              _at(aa, k, rp.p_proj(w[k]))) * m_sym(ell[k], (f'v{k + 1}',)))),
+    Lemma('same-label-insertion', 2,
+          lambda w, ell, top: [(k,) for k in range(len(w) - 1)
+                               if ell[k] == ell[k + 1] and w[k] == w[k + 1]
+                               and _labeled_ok(w, ell)],
+          lambda w, ell, aa, k: (
+              _E(_ins(aa, k + 1, rp.p_proj(w[k] + 1))),
+              _E(_ins(aa, k + 1, rp.REP_ONE - rp.p_proj(w[k]))))),
+    Lemma('step-insertion', 2,
+          lambda w, ell, top: [(k,) for k in range(len(w) - 1)
+                               if ell[k] != ell[k + 1]
+                               and abs(w[k] - w[k + 1]) == 1
+                               and _labeled_ok(w, ell)],
+          lambda w, ell, aa, k: (
+              _E(_ins(aa, k + 1, rp.p_proj(max(w[k], w[k + 1])))),
+              aa.plain(_moment))),
+    Lemma('nesting', 3, _nests, _nesting),
+    Lemma('pair-deletion', 2,
+          lambda w, ell, top: [(k,) for k in range(len(w))
+                               if _flat(w) and _alternating(ell)],
+          lambda w, ell, aa, k: (
+              _E(_at(aa, k, aa[k] + rp.replica(f'v{k + 1}', ell[k],
+                                               w[k] + 1))),
+              _E(aa[:k] + aa[k + 1:]) * _E([aa[k]]))),
+    _standalone('K-standalone-p', rp.K_w_rep, False),
+    _standalone('B-standalone-p', rp.B_w_rep, True),
+    Lemma('additivity', 1,
+          lambda w, ell, top: [()] if w[0] == 1 and set(ell) == {1} else [],
+          _additivity, (4, 4)),
+    Lemma('B-closed-form', 1, _every,
+          lambda w, ell, aa: (aa.plain(rp.B_w_rep), rp.B_closed_form(
+              w, _vars(len(w), 'v'), ell))),
+    Lemma('K-closed-form', 1, _every,
+          lambda w, ell, aa: (aa.plain(rp.K_w_rep), rp.K_closed_form_rep(
+              w, _vars(len(w), 'v'), ell))),
+    Lemma('K-inversion', 1, _every,
+          lambda w, ell, aa: (aa.plain(rp.K_w_rep), rp.K_closed_rep(w, aa))),
+    _projected('B-middle-projection', rp.B_w_rep,
+               lambda w, ell, k, j: j, False),
+    _projected('K-middle-projection', rp.K_w_rep,
+               lambda w, ell, k, j: j, False),
+    _projected('B-mixed-insertion', rp.B_w_rep,
+               lambda w, ell, k, j: j + 1 if w[k] == w[k + 1] == j
+               and ell[k] != ell[k + 1] else 0, False),
+    _projected('B-deletion-1', rp.B_w_rep,
+               lambda w, ell, k, j: w[k] + 1 if len(set(ell)) == 1
+               and w[k] == w[k + 1] else 0, True),
+    _projected('B-deletion-2', rp.B_w_rep,
+               lambda w, ell, k, j: max(w[k], w[k + 1])
+               if ell[k] != ell[k + 1] and abs(w[k] - w[k + 1]) == 1 else 0,
+               True),
+    _projected('K-deletion', rp.K_w_rep,
+               lambda w, ell, k, j: j + 1 if len(set(ell)) == 1
+               and min(w[k], w[k + 1]) == j else 0, True),
+]
+
+
+def _walk(rows):
+    """Walk every (w, ell) once for the (lemma, top) pairs in rows, with
+    one _Args per (w, ell). Returns each row's case count and seconds,
+    and (name, w, ell, *case) of the first failing case, or None."""
+    counts, secs = [0] * len(rows), [0.0] * len(rows)
+    for n in range(1, max(top for _row, top in rows) + 1):
         for w in _am_words(n):
-            j = wd.height(w)
             for ell in iproduct((1, 2), repeat=n):
-                aa = _replicas(w, ell)
-                for k in range(1, n):
-                    if w[k - 1] != j:
+                aa = _Args(w, ell)
+                for i, (row, top) in enumerate(rows):
+                    if not row.lo <= n <= top:
                         continue
-                    for b in (None, rp.p_proj(j), rp.p_proj(j + 1)):
-                        head = list(aa[:k])
-                        if b is not None:
-                            head[-1] = head[-1] * b
-                        lhs = E(rp.rep_product(head + [rp.p_proj(j)]
-                                               + aa[k:]))
-                        rhs = E(rp.rep_product(head)) \
-                            * E(rp.rep_product(aa[k:]))
+                    t0 = time.perf_counter()
+                    for case in row.cases(w, ell, top):
+                        counts[i] += 1
+                        lhs, rhs = row.sides(w, ell, aa, *case)
                         if lhs != rhs:
-                            return f'factorization fails at {w} {ell} {k}'
-    return None
+                            return counts, secs, (row.name, w, ell) + case
+                    secs[i] += time.perf_counter() - t0
+    return counts, secs, None
 
 
-def _check_local_maximum(nmax):
-    E = rp.expectation
-    for n in range(1, nmax + 1):
-        for w in _am_words(n):
-            for ell in iproduct((1, 2), repeat=n):
-                if not _labeled_ok(w, ell):
-                    continue
-                aa = None
-                for k in range(n):
-                    if k > 0 and (ell[k - 1] == ell[k] or w[k - 1] > w[k]):
-                        continue
-                    if k < n - 1 and (ell[k] == ell[k + 1]
-                                      or w[k] < w[k + 1]):
-                        continue
-                    flat = ((k == 0 or w[k - 1] == w[k])
-                            and (k == n - 1 or w[k] == w[k + 1]))
-                    # the flat case needs every same-label replica at a
-                    # letter >= the local one; lower tails annihilate the
-                    # complement letter otherwise (see the regression
-                    # anchors in the test suite)
-                    if flat and any(m != k and ell[m] == ell[k]
-                                    and w[m] < w[k] for m in range(n)):
-                        continue
-                    if aa is None:
-                        aa = _replicas(w, ell)
-                    lhs = E(rp.rep_product(aa))
-                    rhs = E(rp.rep_product(
-                        aa[:k] + [rp.p_proj(w[k])] + aa[k + 1:])) \
-                        * m_sym(ell[k], (f'v{k + 1}',))
-                    if lhs != rhs:
-                        return f'local maximum fails at {w} {ell} {k}'
-    return None
+def check_case(name, w, ell, *case):
+    """Whether the named row of LEMMAS holds on one case; criterion 8
+    prints this call for its first failing case."""
+    row = {r.name: r for r in LEMMAS}[name]
+    lhs, rhs = row.sides(w, ell, _Args(w, ell), *case)
+    return lhs == rhs
 
 
-def _check_insertions(nmax):
-    E = rp.expectation
-    for n in range(2, nmax + 1):
-        for w in _am_words(n):
-            for ell in iproduct((1, 2), repeat=n):
-                if not _labeled_ok(w, ell):
-                    continue
-                aa = None
-                for k in range(n - 1):
-                    same = ell[k] == ell[k + 1] and w[k] == w[k + 1]
-                    lo, hi = sorted((w[k], w[k + 1]))
-                    step = ell[k] != ell[k + 1] and hi == lo + 1
-                    if not (same or step):
-                        continue
-                    if aa is None:
-                        aa = _replicas(w, ell)
-                    if same:
-                        j = w[k]
-                        x1 = E(rp.rep_product(
-                            aa[:k + 1] + [rp.p_proj(j + 1)] + aa[k + 1:]))
-                        x2 = E(rp.rep_product(
-                            aa[:k + 1] + [rp.REP_ONE - rp.p_proj(j)]
-                            + aa[k + 1:]))
-                        if x1 != x2:
-                            return f'same-label insertion fails {w} {ell} {k}'
-                    else:
-                        x1 = E(rp.rep_product(
-                            aa[:k + 1] + [rp.p_proj(hi)] + aa[k + 1:]))
-                        if x1 != E(rp.rep_product(aa)):
-                            return f'step insertion fails {w} {ell} {k}'
-    return None
-
-
-def _check_nesting(nmax):
-    E = rp.expectation
-    for n in range(3, nmax + 1):
-        for w in _am_words(n):
-            for ell in iproduct((1, 2), repeat=n):
-                if not _labeled_ok(w, ell):
-                    continue
-                aa = None
-                for k in range(1, n):
-                    for m in range(k, n - 1):
-                        j = w[k]
-                        if any(w[i] != j for i in range(k, m + 1)):
-                            continue
-                        if w[k - 1] >= j or w[m + 1] >= j:
-                            continue
-                        if any(ell[i] == ell[i + 1]
-                               for i in range(k - 1, m + 1)):
-                            continue
-                        # interior inner replicas must not see a lower
-                        # same-label letter outside the nest
-                        if any(k < q < m and ell[p] == ell[q]
-                               and w[p] < w[q]
-                               for q in range(k + 1, m)
-                               for p in list(range(k))
-                               + list(range(m + 1, n))):
-                            continue
-                        if aa is None:
-                            aa = _replicas(w, ell)
-                        mid = []
-                        for i in range(k, m + 1):
-                            mid.append(aa[i])
-                            if i < m:
-                                mid.append(rp.p_proj(j))
-                        lhs = E(rp.rep_product(aa[:k] + mid + aa[m + 1:]))
-                        inner = E(rp.rep_product(mid))
-                        rhs = E(rp.rep_product(
-                            aa[:k] + [inner.embed()] + aa[m + 1:]))
-                        if lhs != rhs:
-                            return f'nesting fails at {w} {ell} {k} {m}'
-    return None
-
-
-def _check_monotone_pairs(nmax):
-    E = rp.expectation
-    for n in range(2, nmax + 1):
-        for j in (1, 2):
-            for ell in iproduct((1, 2), repeat=n):
-                if any(ell[i] == ell[i + 1] for i in range(n - 1)):
-                    continue
-                base = [rp.replica(f'v{i + 1}', ell[i], j)
-                        for i in range(n)]
-                for k in range(n):
-                    pair = (rp.replica(f'v{k + 1}', ell[k], j)
-                            + rp.replica(f'v{k + 1}', ell[k], j + 1))
-                    lhs = E(rp.rep_product(
-                        base[:k] + [pair] + base[k + 1:]))
-                    rest = base[:k] + base[k + 1:]
-                    rhs = E(base[k]) if not rest else \
-                        E(rp.rep_product(rest)) * E(base[k])
-                    if lhs != rhs:
-                        return f'pair deletion fails at n={n} {ell} {k}'
-    return None
-
-
-def _check_cumulant_lemmas(nmax, bmax):
-    for n in range(2, nmax + 1):
-        for w in _am_words(n):
-            j = wd.height(w)
-            for ell in iproduct((1, 2), repeat=n):
-                aa0 = _replicas(w, ell)
-                variants = [[None] * n]
-                if n <= bmax:
-                    for i in range(n - 1):
-                        for b in (rp.p_proj(1), rp.p_proj(2)):
-                            v = [None] * n
-                            v[i] = b
-                            variants.append(v)
-                for bs in variants:
-                    aa = [a if b is None else a * b
-                          for a, b in zip(aa0, bs)]
-                    for k in range(n - 1):
-                        args = aa[:k] + [aa[k] * rp.p_proj(j)] + aa[k + 1:]
-                        if not rp.B_w_rep(w, args).is_zero():
-                            return f'B middle projection at {w} {ell} {k}'
-                        if not rp.K_w_rep(w, args).is_zero():
-                            return f'K middle projection at {w} {ell} {k}'
-                        if w[k] == w[k + 1] == j and ell[k] != ell[k + 1]:
-                            args = (aa[:k] + [aa[k] * rp.p_proj(j + 1)]
-                                    + aa[k + 1:])
-                            if not rp.B_w_rep(w, args).is_zero():
-                                return f'B mixed insertion at {w} {ell} {k}'
-                        if len(set(ell)) == 1 and w[k] == w[k + 1]:
-                            args = (aa[:k] + [aa[k] * rp.p_proj(w[k] + 1)]
-                                    + aa[k + 1:])
-                            if rp.B_w_rep(w, args) != rp.B_w_rep(w, aa):
-                                return f'B deletion (1) at {w} {ell} {k}'
-                        lo, hi = sorted((w[k], w[k + 1]))
-                        if ell[k] != ell[k + 1] and hi == lo + 1:
-                            args = (aa[:k] + [aa[k] * rp.p_proj(hi)]
-                                    + aa[k + 1:])
-                            if rp.B_w_rep(w, args) != rp.B_w_rep(w, aa):
-                                return f'B deletion (2) at {w} {ell} {k}'
-                        if len(set(ell)) == 1 and (w[k], w[k + 1]) in {
-                                (j, j), (j, j + 1), (j + 1, j)}:
-                            args = (aa[:k] + [aa[k] * rp.p_proj(j + 1)]
-                                    + aa[k + 1:])
-                            if rp.K_w_rep(w, args) != rp.K_w_rep(w, aa):
-                                return f'K deletion at {w} {ell} {k}'
-    return None
-
-
-def _check_standalone_projections(nmax):
-    for j, j1 in iproduct((1, 2, 3), repeat=2):
-        x = [rp.p_proj(j)]
-        if rp.B_w_rep((j1,), x) != rp.BElement({j: 1}):
-            return 'order-one B of a projection mismatch'
-        if rp.K_w_rep((j1,), x) != rp.BElement({j: 1}):
-            return 'order-one K of a projection mismatch'
-    for n in range(2, nmax + 1):
-        for w in _am_words(n):
-            for ell in iproduct((1, 2), repeat=n):
-                aa = _replicas(w, ell)
-                for k in range(n + 1):
-                    for j in range(1, 4):
-                        what = w[:k] + (j,) + w[k:]
-                        if not wd.is_motzkin(what):
-                            continue
-                        args = aa[:k] + [rp.p_proj(j)] + aa[k:]
-                        if not rp.K_w_rep(what, args).is_zero():
-                            return f'K with argument p_{j} at {w} {ell} {k}'
-                        if j == wd.height(w) and not \
-                                rp.B_w_rep(what, args).is_zero():
-                            return f'B with argument p_{j} at {w} {ell} {k}'
-    return None
-
-
-def _check_additivity(nmax):
-    for n in range(1, nmax + 1):
-        for w in wd.enumerate_words(n):
-            xs = _replicas(w, (1,) * n, 'x')
-            ys = _replicas(w, (2,) * n, 'y')
-            mixed = rp.K_w_rep(w, [x + y for x, y in zip(xs, ys)])
-            if mixed != rp.K_w_rep(w, xs) + rp.K_w_rep(w, ys):
-                return f'additivity fails at {wd.format_word(w)}'
-    return None
-
-
-def _check_closed_forms(nmax):
-    for n in range(1, nmax + 1):
-        for w in _am_words(n):
-            names = _vars(n, 'v')
-            for ell in iproduct((1, 2), repeat=n):
-                args = _replicas(w, ell)
-                b = rp.B_w_rep(w, args)
-                if b != rp.B_closed_form(w, names, ell):
-                    return f'B closed form mismatch at {w} {ell}'
-                k = rp.K_w_rep(w, args)
-                if k != rp.K_closed_form_rep(w, names, ell):
-                    return f'K closed form mismatch at {w} {ell}'
-                if k != rp.K_closed_rep(w, args):
-                    return f'K inversion mismatch at {w} {ell}'
-    return None
+def _reproduce(what, call):
+    return False, (f'{what}; reproduce with python -c "from ncmotzkin '
+                   f'import acceptance as a; print(a.{call})"')
 
 
 def crit_replicas(scale):
-    """The replica sub-checks in order. The detail lists each one's
-    seconds, or names the first that fails with a one-line reproducer."""
-    nmax = 5 if scale == 'full' else 4
-    bmax = 3 if scale == 'full' else 2
-    times = []
-    for check, args in (
-            (_check_examples_replicas, ()),
-            (_check_constant_word_lemma, (nmax,)),
-            (_check_factorization, (nmax,)),
-            (_check_local_maximum, (nmax,)),
-            (_check_insertions, (nmax,)),
-            (_check_nesting, (nmax,)),
-            (_check_monotone_pairs, (nmax,)),
-            (_check_standalone_projections, (4 if scale == 'full' else 3,)),
-            (_check_additivity, (min(nmax, 4),)),
-            (_check_closed_forms, (nmax,)),
-            (_check_cumulant_lemmas, (nmax, bmax)),
-            ):
-        call = f'{check.__name__}({", ".join(map(str, args))})'
-        t0 = time.perf_counter()
-        err = check(*args)
-        if err:
-            return False, (f'{call} failed: {err}; reproduce with python -c '
-                           f'"from ncmotzkin import acceptance as a; '
-                           f'print(a.{call})"')
-        times.append(f'{call} {time.perf_counter() - t0:.2f}s')
-    return True, (f'examples fixed; lemma suites exhaustive to n={nmax}; '
-                  + ', '.join(times))
+    """The fixed examples, then every row of LEMMAS in one walk. The
+    detail gives each row's case count and seconds (a plain value that
+    rows share is timed in the first row that asks for it), or names the
+    first failing case with a one-line reproducer."""
+    t0 = time.perf_counter()
+    err = _check_examples_replicas()
+    if err:
+        return _reproduce(f'examples fail: {err}',
+                          '_check_examples_replicas()')
+    t = time.perf_counter() - t0
+    rows = [(row, row.tops[scale != 'full']) for row in LEMMAS]
+    counts, secs, failed = _walk(rows)
+    if failed:
+        return _reproduce(
+            f'{failed[0]} fails at {", ".join(map(repr, failed[1:]))}',
+            f'check_case({", ".join(map(repr, failed))})')
+    table = ', '.join(f'{row.name} {count} {sec:.2f}s' for (row, _top),
+                      count, sec in zip(rows, counts, secs))
+    return True, f'examples fixed {t:.2f}s; {sum(counts)} lemma cases: {table}'
 
 
 # ---------------------------------------------------------------- 9
@@ -880,9 +865,9 @@ CRITERIA = [
 def run_criterion(num, scale='full'):
     for n, name, fn in CRITERIA:
         if n == num:
-            t0 = time.time()
+            t0 = time.perf_counter()
             ok, detail = fn(scale)
-            return ok, detail, time.time() - t0
+            return ok, detail, time.perf_counter() - t0
     raise ValueError(f'no criterion {num}')
 
 
@@ -891,7 +876,10 @@ def run(scale='full', out=print, jobs=1):
     all_ok = True
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        # a fork pool starts all its workers at the first submit, and no
+        # more than one per criterion can be busy
+        workers = min(jobs, len(CRITERIA))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [(n, name, pool.submit(run_criterion, n, scale))
                        for n, name, _fn in CRITERIA]
             results = [(n, name) + f.result() for n, name, f in futures]

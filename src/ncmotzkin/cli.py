@@ -289,6 +289,13 @@ def cmd_verify(args):
     sys.exit(0 if ok else 1)
 
 
+def _positive_int(text):
+    if not text.isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(
+            f'must be a positive integer, got {text!r}')
+    return int(text)
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog='ncmotzkin',
@@ -384,7 +391,7 @@ def build_parser():
     g = p.add_mutually_exclusive_group()
     g.add_argument('--quick', action='store_true')
     g.add_argument('--full', action='store_true')
-    p.add_argument('--jobs', type=int, default=1)
+    p.add_argument('--jobs', type=_positive_int, default=1)
     p.set_defaults(func=cmd_verify)
 
     return parser

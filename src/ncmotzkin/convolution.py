@@ -12,12 +12,11 @@ yield the Boolean convolution.
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import zip_longest
+from itertools import product, zip_longest
 from math import gcd
 
 from .cumulants import (UNIT, ZERO, ONE, moment_to_free, moment_to_boolean,
-                        beta_sym, mirror, rename, symbol_of,
-                        _restrict, _prod, _sum)
+                        beta_sym, mirror, rename, symbol_of, _prod, _sum)
 from . import adapted as ad
 from . import partitions as sp
 from . import replicas as rp
@@ -50,7 +49,7 @@ class Distribution:
             word = self._word(word)
             self.moments[word] = Fraction(val)
         for n in range(1, order + 1):
-            for word in _all_words(self.alphabet, n):
+            for word in product(self.alphabet, repeat=n):
                 if word not in self.moments:
                     raise ValueError(f'missing moment for {"".join(word)}')
 
@@ -89,12 +88,6 @@ class Distribution:
 
 def _key_sep(alphabet):
     return '' if all(len(v) == 1 for v in alphabet) else ','
-
-
-def _all_words(alphabet, n):
-    if n == 0:
-        return [()]
-    return [w + (a,) for w in _all_words(alphabet, n - 1) for a in alphabet]
 
 
 def univariate_distribution(moment_seq, var='x'):
@@ -173,7 +166,7 @@ def _product_sym(labeled_word, partitions, cumulant):
         return ONE
     names = tuple(v for v, _l in word)
     labels = tuple(l for _v, l in word)
-    return _sum(_prod(cumulant(labels[b[0] - 1], _restrict(names, b))
+    return _sum(_prod(cumulant(labels[b[0] - 1], ad.block_subword(names, b))
                       for b in pi)
                 for pi in partitions(n) if ad.block_labels_constant(pi, labels))
 
@@ -344,7 +337,7 @@ def _monotone_run(w, names, label):
     labels = (1, 2) if label is None else (label,)
     parts = []
     for block, gaps, rest in ad.run_shapes((w, w[0], w[0] - 1, 1, False)):
-        args = _restrict(names, block)
+        args = ad.block_subword(names, block)
         value = _sum(moment_to_boolean(l, args) * _prod(
             _monotone_run(g[0], names[p:p + len(g[0])], 3 - l)
             for p, g in zip(block, gaps) if g) for l in labels)
@@ -371,7 +364,7 @@ def boxplus_w_beta_terms(w, variables):
     out = []
     for pi in ad.enumerate_adapted(w, 'monotone'):
         for ell in ad.labelings_of(pi)['L0']:
-            val = _prod(beta_sym(ell[b[0] - 1], _restrict(variables, b))
+            val = _prod(beta_sym(ell[b[0] - 1], ad.block_subword(variables, b))
                         for b in pi)
             out.append((pi, ell, val))
     return out

@@ -232,10 +232,6 @@ def r_sym(label, args):
     return Poly.symbol('r', label, args)
 
 
-def _restrict(args, block):
-    return tuple(args[p - 1] for p in block)
-
-
 def _prod(polys):
     out = ONE
     for p in polys:
@@ -279,13 +275,13 @@ def moment_to_boolean(label, args):
 
 def free_to_moment(label, args):
     """Moment m(args) as a polynomial in free cumulant symbols."""
-    return _sum(_prod(r_sym(label, _restrict(args, b)) for b in pi)
+    return _sum(_prod(r_sym(label, ad.block_subword(args, b)) for b in pi)
                 for pi in sp.noncrossing_partitions(len(args)))
 
 
 def boolean_to_moment(label, args):
     """Moment m(args) as a polynomial in Boolean cumulant symbols."""
-    return _sum(_prod(beta_sym(label, _restrict(args, b)) for b in pi)
+    return _sum(_prod(beta_sym(label, ad.block_subword(args, b)) for b in pi)
                 for pi in sp.interval_partitions(len(args)))
 
 
@@ -293,14 +289,14 @@ def free_in_boolean(label, args):
     """r(args) as a signed sum of beta products over irreducible
     noncrossing partitions."""
     return _sum((-1) ** (len(pi) - 1)
-                * _prod(beta_sym(label, _restrict(args, b)) for b in pi)
+                * _prod(beta_sym(label, ad.block_subword(args, b)) for b in pi)
                 for pi in sp.irreducible_partitions(len(args)))
 
 
 def boolean_in_free(label, args):
     """beta(args) as a sum of r products over irreducible noncrossing
     partitions."""
-    return _sum(_prod(r_sym(label, _restrict(args, b)) for b in pi)
+    return _sum(_prod(r_sym(label, ad.block_subword(args, b)) for b in pi)
                 for pi in sp.irreducible_partitions(len(args)))
 
 
@@ -401,7 +397,7 @@ def motzkin_k(w, args):
     out = ZERO
     for pi in ad.enumerate_adapted(w, 'monotone_irr'):
         out = out + (-1) ** (len(pi) - 1) * _prod(
-            beta_sym(label, _restrict(names, b)) for b in pi)
+            beta_sym(label, ad.block_subword(names, b)) for b in pi)
     return out
 
 

@@ -17,7 +17,7 @@ expectations of monomials are cached lookups on ints. Ids depend on the
 order in which strings are first met, so they never leave the process:
 `string_of`, `monomial_of` and `raw_terms` read them back, a Rep pickles
 through its raw terms, and `Rep(terms)` takes raw two-string monomials.
-The tables have no bound: criterion 8 leaves 1,587 strings and 3,362
+The tables have no bound: criterion 8 leaves 1,544 strings and 3,351
 monomials, the `replica` route at length 9 with distinct names 8,455
 and 4,525.
 """
@@ -110,7 +110,7 @@ def _mul_string(i, j):
     """The id of the product of the strings of ids i and j, site by site;
     None when a site is annihilated. Cached on the id pair; asked only on
     the misses of _mul_mono, which share strings: all of criterion 8 asks
-    12,330 times for 2,801 pairs, the `replica` route of length 9 with
+    12,304 times for 2,743 pairs, the `replica` route of length 9 with
     distinct names 12,130 times for 10,981."""
     s, t = _STRINGS[i], _STRINGS[j]
     n = max(len(s[0]), len(t[0]))
@@ -127,7 +127,7 @@ def _mul_string(i, j):
 def _mul_mono(a, b):
     """The id of the product of the monomials of ids a and b, string by
     string; None when it vanishes. Cached on the id pair: all of
-    criterion 8 asks 353,818 times for 6,559 pairs, the `replica` route
+    criterion 8 asks 341,247 times for 6,546 pairs, the `replica` route
     of length 9 223,506 times for 6,612."""
     a1, a2 = _MONOS[a]
     b1, b2 = _MONOS[b]
@@ -341,7 +341,7 @@ def _runs(tokens):
 @lru_cache(maxsize=4096)
 def _phi_site(tokens, label):
     """Phi of one site's word on the label's marginal. Cached like
-    _mul_string: all of criterion 8 asks 6,251 times for 277 keys."""
+    _mul_string: all of criterion 8 asks 6,198 times for 271 keys."""
     out = ZERO
     for sign, word in _site_branches(tokens):
         val = ONE
@@ -552,8 +552,8 @@ def _expect_mono(k):
     """E of the two-string monomial of id k: boundary projections of each
     tensor factor determine the output color, the interior is evaluated
     by phi, which on a two-string core is the product of its strings'
-    values. Bounded: all of criterion 8 asks 241,789 times for 2,939
-    monomials (98.8% hits), while the replica route's total at length 9
+    values. Bounded: all of criterion 8 asks 229,711 times for 2,926
+    monomials (98.7% hits), while the replica route's total at length 9
     asks 2,123 times, every one a miss."""
     s1, s2 = _MONOS[k]
     tops = {}
@@ -576,7 +576,7 @@ def _string_branches(i, label):
     """The C-expansions of the string of id i on the label's marginal: a
     tuple of (least boundary projection color or 0 for none, signed phi
     of the stripped core), without the branches whose phi is zero.
-    Cached: all of criterion 8 asks 7,659 times for 2,135 keys, the
+    Cached: all of criterion 8 asks 7,633 times for 2,096 keys, the
     `replica` route of length 9 with distinct names 6,746 times for
     4,246."""
     out = []
@@ -633,7 +633,7 @@ def B_w_rep(w, args):
 @lru_cache(maxsize=256)
 def _cuts(w):
     """The cuts c of the tuple word w, where w_c = w_(c+1) = height(w),
-    then len(w). Cached: all of criterion 8 asks 83,841 times for 38
+    then len(w). Cached: all of criterion 8 asks 79,838 times for 38
     words. A bad word raises on every call; exceptions are not cached."""
     h = wd.height(w)
     return tuple([c for c in range(1, len(w)) if w[c - 1] == w[c] == h]

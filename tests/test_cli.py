@@ -303,6 +303,13 @@ def test_usage_error_exit_code(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize('jobs', ['0', '-3', 'two'])
+def test_verify_rejects_fewer_than_one_job(capsys, jobs):
+    code, _, err = run(capsys, 'verify', '--quick', '--jobs', jobs)
+    assert code == 2
+    assert f"--jobs: must be a positive integer, got '{jobs}'" in err
+
+
 def test_deterministic_output(capsys):
     _, first, _ = run(capsys, 'cumulants', 'decompose', '--n', '5')
     _, second, _ = run(capsys, 'cumulants', 'decompose', '--n', '5')

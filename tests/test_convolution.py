@@ -43,6 +43,10 @@ def test_distribution_validation():
         cv.Distribution(('x', 'x'), 1, {('x',): 1})
     with pytest.raises(ValueError):
         cv.Distribution(('x',), 2, {('x',): 0})
+    # the error names the first missing word in lexicographic order
+    with pytest.raises(ValueError, match='missing moment for yx$'):
+        cv.Distribution(('x', 'y'), 2, {('x',): 0, ('y',): 0,
+                                        ('x', 'x'): 1, ('x', 'y'): 0})
     # '1' is the unit letter of the moment symbols
     with pytest.raises(ValueError, match='reserved'):
         cv.Distribution(('1',), 2, {('1',): 5, ('1', '1'): 7})

@@ -312,7 +312,7 @@ def frozen_moment_to_boolean(label, args):
         if len(pi) == 1:
             continue
         out = out - cm._prod(frozen_moment_to_boolean(
-            label, cm._restrict(args, b)) for b in pi)
+            label, ad.block_subword(args, b)) for b in pi)
     return out
 
 
@@ -342,7 +342,7 @@ def frozen_moment_to_free(label, args):
         if len(pi) == 1:
             continue
         out = out - cm._prod(frozen_moment_to_free(
-            label, cm._restrict(args, b)) for b in pi)
+            label, ad.block_subword(args, b)) for b in pi)
     return out
 
 

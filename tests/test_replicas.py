@@ -115,44 +115,28 @@ def test_flat_peak_exclusions_have_zero_moment(w, ell):
     assert not rhs.is_zero()
 
 
-def test_constant_word_lemma_small():
-    assert ac._check_constant_word_lemma(4) is None
+# Each row's case count at the bounds of the lemma checks it replaced:
+# nesting to n=5, the standalone p_j rows to 3, the rest to 4 (the
+# projected variants of the cumulant rows to n=2). A hypothesis that drops
+# cases changes its count.
+ROW_BOUNDS = {'nesting': 5, 'K-standalone-p': 3, 'B-standalone-p': 3}
+ROW_COUNTS = {
+    'constant-moment': 16, 'constant-separated': 16,
+    'constant-alternating': 6, 'factorization': 1140, 'local-maximum': 156,
+    'same-label-insertion': 114, 'step-insertion': 56, 'nesting': 98,
+    'pair-deletion': 36, 'K-standalone-p': 268, 'B-standalone-p': 196,
+    'additivity': 8, 'B-closed-form': 202, 'K-closed-form': 202,
+    'K-inversion': 202, 'B-middle-projection': 548,
+    'K-middle-projection': 548, 'B-mixed-insertion': 146,
+    'B-deletion-1': 60, 'B-deletion-2': 112, 'K-deletion': 88,
+}
 
 
-def test_factorization_lemma_small():
-    assert ac._check_factorization(4) is None
-
-
-def test_local_maximum_lemma_small():
-    assert ac._check_local_maximum(4) is None
-
-
-def test_insertion_lemmas_small():
-    assert ac._check_insertions(4) is None
-
-
-def test_nesting_lemma_small():
-    assert ac._check_nesting(5) is None
-
-
-def test_monotone_pair_lemma_small():
-    assert ac._check_monotone_pairs(4) is None
-
-
-def test_projection_argument_lemmas_small():
-    assert ac._check_standalone_projections(3) is None
-
-
-def test_cumulant_projection_lemmas_small():
-    assert ac._check_cumulant_lemmas(4, 2) is None
-
-
-def test_additivity_small():
-    assert ac._check_additivity(4) is None
-
-
-def test_closed_forms_small():
-    assert ac._check_closed_forms(4) is None
+@pytest.mark.parametrize('row', ac.LEMMAS, ids=lambda row: row.name)
+def test_lemma_row(row):
+    counts, _secs, failed = ac._walk([(row, ROW_BOUNDS.get(row.name, 4))])
+    assert failed is None
+    assert counts == [ROW_COUNTS[row.name]]
 
 
 def test_zeta():
