@@ -29,10 +29,7 @@ def _vars(n, stem='a'):
 
 
 def _beta_pi(pi, args, label=0):
-    out = ONE
-    for b in pi:
-        out = out * beta_sym(label, tuple(args[p - 1] for p in b))
-    return out
+    return cm.block_sum(beta_sym, (label,) * len(args), args, (pi,))
 
 
 def _am_words(n, maxletter=3):

@@ -271,25 +271,26 @@ def join_adapted(pi, w, rho, w2):
     return joined
 
 
-def interval_splits(w):
-    """Interval partitions of [n] whose cuts fall where two consecutive
-    letters both equal the height of w; every factor is then a Motzkin
-    word of the same height."""
-    w = tuple(w)
-    n = len(w)
+@lru_cache(maxsize=256)
+def _cuts(w):
+    """The cuts of Int(w) for the tuple word w: the c where w_c = w_(c+1) =
+    height(w), then len(w). Cached, since replicas.B_w_rep reads them on
+    every call, and the nested cumulants call it once per block. A bad
+    word raises on every call; exceptions are not cached."""
     h = wd.height(w)
-    valid = [k for k in range(1, n) if w[k - 1] == h and w[k] == h]
-    out = []
-    for r in range(len(valid) + 1):
-        for cuts in combinations(valid, r):
-            blocks = []
-            start = 1
-            for k in cuts:
-                blocks.append(tuple(range(start, k + 1)))
-                start = k + 1
-            blocks.append(tuple(range(start, n + 1)))
-            out.append(tuple(blocks))
-    return sorted(out)
+    return tuple([c for c in range(1, len(w)) if w[c - 1] == w[c] == h]
+                 + [len(w)])
+
+
+def interval_splits(w):
+    """Int(w): the interval partitions of [n] cut at a subset of the cuts
+    of w (_cuts), where two consecutive letters both equal the height of
+    w; every factor is then a Motzkin word of the same height."""
+    *cuts, n = _cuts(tuple(w))
+    return sorted(tuple(tuple(range(a + 1, b + 1))
+                        for a, b in zip((0,) + chosen, chosen + (n,)))
+                  for r in range(len(cuts) + 1)
+                  for chosen in combinations(cuts, r))
 
 
 def block_labels_constant(pi, labels):

@@ -16,7 +16,8 @@ from itertools import product, zip_longest
 from math import gcd
 
 from .cumulants import (UNIT, ZERO, ONE, moment_to_free, moment_to_boolean,
-                        beta_sym, mirror, rename, symbol_of, _prod, _sum)
+                        beta_sym, block_sum, mirror, rename, symbol_of,
+                        _prod, _sum)
 from . import adapted as ad
 from . import partitions as sp
 from . import replicas as rp
@@ -71,10 +72,26 @@ class Distribution:
 
     @classmethod
     def from_json(cls, data):
-        sep = _key_sep(data['alphabet'])
-        return cls(data['alphabet'], data['order'],
-                   {tuple(k.split(sep)) if sep and k else tuple(k):
-                    Fraction(v) for k, v in data['moments'].items()})
+        """The distribution of a parsed distribution file. A file of
+        another shape raises ValueError naming the field."""
+        if type(data) is not dict:
+            raise ValueError('a distribution file holds a JSON object')
+        for field, kind, what in _FIELDS:
+            if type(data.get(field)) is not kind:
+                raise ValueError(f'field {field!r} must be {what}')
+        alphabet = data['alphabet']
+        if any(type(v) is not str for v in alphabet):
+            raise ValueError("field 'alphabet' must be a list of strings")
+        sep = _key_sep(alphabet)
+        moments = {}
+        for k, v in data['moments'].items():
+            try:
+                moments[tuple(k.split(sep)) if sep and k else tuple(k)] = \
+                    Fraction(v)
+            except (TypeError, ValueError, ArithmeticError):
+                raise ValueError(f"field 'moments': {k!r} is {v!r}, not an "
+                                 'exact rational') from None
+        return cls(alphabet, data['order'], moments)
 
     def to_json(self):
         sep = _key_sep(self.alphabet)
@@ -84,6 +101,11 @@ class Distribution:
             'moments': {sep.join(k): str(v)
                         for k, v in sorted(self.moments.items())},
         }
+
+
+_FIELDS = (('alphabet', list, 'a list of strings'),
+           ('order', int, 'an integer'),
+           ('moments', dict, 'an object'))
 
 
 def _key_sep(alphabet):
@@ -160,15 +182,13 @@ def _check_pair(mu1, mu2, word):
 
 
 def _product_sym(labeled_word, partitions, cumulant):
-    word = [(str(v), l) for v, l in labeled_word]
-    n = len(word)
-    if n == 0:
+    names = tuple([str(v) for v, _l in labeled_word])
+    labels = tuple([l for _v, l in labeled_word])
+    if not names:
         return ONE
-    names = tuple(v for v, _l in word)
-    labels = tuple(l for _v, l in word)
-    return _sum(_prod(cumulant(labels[b[0] - 1], ad.block_subword(names, b))
-                      for b in pi)
-                for pi in partitions(n) if ad.block_labels_constant(pi, labels))
+    return block_sum(cumulant, labels, names,
+                     [pi for pi in partitions(len(names))
+                      if ad.block_labels_constant(pi, labels)])
 
 
 def free_product_sym(labeled_word):
@@ -196,13 +216,6 @@ def free_product_moment(mu1, mu2, labeled_word):
 def boolean_product_moment(mu1, mu2, labeled_word):
     _check_pair(mu1, mu2, [v for v, _l in labeled_word])
     return evaluate(boolean_product_sym(labeled_word), mu1, mu2)
-
-
-def _labelings(n):
-    out = []
-    for mask in range(1 << n):
-        out.append(tuple(2 if mask >> i & 1 else 1 for i in range(n)))
-    return out
 
 
 def boxplus_w_sym(w, variables, route='replica'):
@@ -268,7 +281,7 @@ def _w_part(w, pattern, route):
     if route == 'replica':
         # a labeling with l_1 = 2 is the mirror of one with l_1 = 1
         half = _sum(rp.zeta_E(rp.replica_word(pattern, (1,) + ell, w))
-                    for ell in _labelings(n - 1))
+                    for ell in product((1, 2), repeat=n - 1))
         return half + mirror(half)
     if route == 'monotone':
         return _monotone_run(w, pattern, None)
@@ -348,12 +361,10 @@ def _monotone_run(w, names, label):
 
 
 @lru_cache(maxsize=128)
-def _total(which, pattern, route):
-    """The sum of the parts of a pattern over the reduced words of its
-    length: all of them, or the non-constant ones for which='delta'."""
-    n = len(pattern)
-    return _sum(_w_part(w, pattern, route) for w in wd.enumerate_words(n)
-                if which == 'all' or w != (1,) * n)
+def _total(n, pattern, route):
+    """The sum of the parts of a pattern of length n over the reduced
+    words of that length."""
+    return _sum(_w_part(w, pattern, route) for w in wd.enumerate_words(n))
 
 
 def boxplus_w_beta_terms(w, variables):
@@ -364,9 +375,7 @@ def boxplus_w_beta_terms(w, variables):
     out = []
     for pi in ad.enumerate_adapted(w, 'monotone'):
         for ell in ad.labelings_of(pi)['L0']:
-            val = _prod(beta_sym(ell[b[0] - 1], ad.block_subword(variables, b))
-                        for b in pi)
-            out.append((pi, ell, val))
+            out.append((pi, ell, block_sum(beta_sym, ell, variables, (pi,))))
     return out
 
 
@@ -381,7 +390,7 @@ def boxplus_total_sym(variables, route='monotone'):
     variables = tuple(str(v) for v in variables)
     if not variables:
         return ONE
-    return _named(_total, 'all', variables, route)
+    return _named(_total, len(variables), variables, route)
 
 
 def boxplus_total(mu1, mu2, monomial, route='monotone'):
@@ -408,7 +417,8 @@ def delta_sym(variables):
     variables = tuple(str(v) for v in variables)
     if not variables:
         return ZERO
-    return _named(_total, 'delta', variables, 'monotone')
+    return boxplus_total_sym(variables) - boxplus_w_sym(
+        (1,) * len(variables), variables, 'monotone')
 
 
 def delta(mu1, mu2, monomial):

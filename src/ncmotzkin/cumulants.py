@@ -25,7 +25,6 @@ parts of ever new name tuples grows with them: 20,000 distinct 5-tuples
 on one word add 160,000 symbols and about 34 MB.
 """
 
-from bisect import bisect_left
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
@@ -275,29 +274,28 @@ def moment_to_boolean(label, args):
 
 def free_to_moment(label, args):
     """Moment m(args) as a polynomial in free cumulant symbols."""
-    return _sum(_prod(r_sym(label, ad.block_subword(args, b)) for b in pi)
-                for pi in sp.noncrossing_partitions(len(args)))
+    return block_sum(r_sym, (label,) * len(args), args,
+                     sp.noncrossing_partitions(len(args)))
 
 
 def boolean_to_moment(label, args):
     """Moment m(args) as a polynomial in Boolean cumulant symbols."""
-    return _sum(_prod(beta_sym(label, ad.block_subword(args, b)) for b in pi)
-                for pi in sp.interval_partitions(len(args)))
+    return block_sum(beta_sym, (label,) * len(args), args,
+                     sp.interval_partitions(len(args)))
 
 
 def free_in_boolean(label, args):
     """r(args) as a signed sum of beta products over irreducible
     noncrossing partitions."""
-    return _sum((-1) ** (len(pi) - 1)
-                * _prod(beta_sym(label, ad.block_subword(args, b)) for b in pi)
-                for pi in sp.irreducible_partitions(len(args)))
+    return block_sum(beta_sym, (label,) * len(args), args,
+                     sp.irreducible_partitions(len(args)), signed=True)
 
 
 def boolean_in_free(label, args):
     """beta(args) as a sum of r products over irreducible noncrossing
     partitions."""
-    return _sum(_prod(r_sym(label, ad.block_subword(args, b)) for b in pi)
-                for pi in sp.irreducible_partitions(len(args)))
+    return block_sum(r_sym, (label,) * len(args), args,
+                     sp.irreducible_partitions(len(args)))
 
 
 def _sum(polys):
@@ -308,6 +306,22 @@ def _sum(polys):
         for mono, c in p.terms.items():
             out[mono] = out.get(mono, 0) + c
     return _poly({m: _num(c) for m, c in out.items() if c})
+
+
+def block_sum(kappa, labels, names, partitions, signed=False):
+    """The sum over the partitions pi of the product over the blocks b of
+    pi of kappa(label of b's first position, names restricted to b),
+    times (-1)^(|pi|-1) when signed: the one shape of every rule that
+    turns a family of partitions into a polynomial in cumulants. labels
+    and names are indexed by position - 1."""
+    def term(pi):
+        out = ONE
+        for b in pi:
+            out = out * kappa(labels[b[0] - 1],
+                              tuple([names[p - 1] for p in b]))
+        return -out if signed and not len(pi) % 2 else out
+
+    return _sum(map(term, partitions))
 
 
 def expand_symbols(poly, rule):
@@ -389,16 +403,11 @@ def motzkin_k(w, args):
     args = [(str(v), l) for v, l in args]
     if len(args) != len(w):
         raise ValueError('argument/word length mismatch')
-    labels = {l for _v, l in args}
-    if len(labels) != 1:
+    labels = tuple(l for _v, l in args)
+    if len(set(labels)) != 1:
         return ZERO
-    label = labels.pop()
-    names = tuple(v for v, _l in args)
-    out = ZERO
-    for pi in ad.enumerate_adapted(w, 'monotone_irr'):
-        out = out + (-1) ** (len(pi) - 1) * _prod(
-            beta_sym(label, ad.block_subword(names, b)) for b in pi)
-    return out
+    return block_sum(beta_sym, labels, tuple(v for v, _l in args),
+                     ad.enumerate_adapted(w, 'monotone_irr'), signed=True)
 
 
 def motzkin_k_terms(w):
@@ -427,20 +436,17 @@ def K_closed_form(w):
 
 
 def render_nested(pi, w):
-    """Render the nested cumulant of a partition: each inner block's
-    cumulant value attaches to the right of the parent argument
-    immediately preceding the block."""
+    """Render the nested cumulant of a partition from its nesting plan:
+    each inner block's cumulant value attaches to the right of the parent
+    argument immediately preceding the block."""
     w = tuple(w)
-    children = sp.siblings(sp.nesting(sp.normalize(pi)))
 
-    def render_block(b):
-        sub = ''.join(str(x) for x in ad.block_subword(w, b))
-        parts = [f'a{p}' for p in b]
-        for c in children[b]:
-            parts[bisect_left(b, c[0]) - 1] += render_block(c)
+    def render(tree):
+        sub = ''.join(str(w[p - 1]) for p, _kids in tree)
+        parts = [f'a{p}' + ''.join(map(render, kids)) for p, kids in tree]
         return f'B_{sub}(' + ','.join(parts) + ')'
 
-    return ''.join(render_block(b) for b in children[None])
+    return ''.join(map(render, sp.nesting_plan(pi)))
 
 
 def refinement_coefficient(pi_prime, pi, w):

@@ -1,5 +1,5 @@
 """Set partitions of [n]: noncrossing, irreducible, interval classes,
-nesting structure and the join in the noncrossing lattice.
+nesting structure and plans, and the join in the noncrossing lattice.
 
 A partition is stored canonically as a tuple of blocks, each block a
 tuple of increasing 1-based elements, blocks ordered by their minima.
@@ -14,6 +14,7 @@ too. NC(n) and Int(n) are generated from their members on [n-1],
 NC_irr(n) from NC(n-1).
 """
 
+from bisect import bisect_left
 from functools import lru_cache
 
 
@@ -196,6 +197,29 @@ def siblings(nest):
     for b, (outer, _d) in nest.items():
         kids[outer].append(b)
     return kids
+
+
+@lru_cache(maxsize=1024)
+def _plan(pi):
+    """Nesting plan of a normalized noncrossing partition: a tree per
+    outer block, in order; a tree is a tuple of (position, child trees),
+    where an inner block hangs on the position of its outer block just
+    before it, leftmost first."""
+    children = siblings(nesting(pi))
+
+    def tree(b):
+        kids = [[] for _p in b]
+        for c in children[b]:
+            kids[bisect_left(b, c[0]) - 1].append(tree(c))
+        return tuple(zip(b, map(tuple, kids)))
+
+    return tuple(tree(b) for b in children[None])
+
+
+def nesting_plan(pi):
+    """The nesting plan of a noncrossing partition given as any blocks:
+    the one rule by which nested cumulants are evaluated and rendered."""
+    return _plan(normalize(pi))
 
 
 def _masks(pi, n):

@@ -22,13 +22,12 @@ monomials, the `replica` route at length 9 with distinct names 8,455
 and 4,525.
 """
 
-from bisect import bisect_left
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product as iproduct, zip_longest
 
-from .cumulants import (Poly, ONE, ZERO, m_sym, mirror, moment_to_boolean,
-                        format_belement)
+from .cumulants import (Poly, ONE, ZERO, block_sum, m_sym, mirror,
+                        moment_to_boolean, format_belement)
 from . import adapted as ad
 from . import partitions as sp
 from . import words as wd
@@ -620,7 +619,7 @@ def B_w_rep(w, args):
     w = tuple(w)
     if len(args) != len(w):
         raise ValueError('argument/word length mismatch')
-    ends = _cuts(w)
+    ends = ad._cuts(w)
     B = {}
     for i, k in enumerate(ends):
         out = expectation(rep_product(args[:k]))
@@ -628,16 +627,6 @@ def B_w_rep(w, args):
             out = out - B[c] * expectation(rep_product(args[c:k]))
         B[k] = out
     return B[len(w)]
-
-
-@lru_cache(maxsize=256)
-def _cuts(w):
-    """The cuts c of the tuple word w, where w_c = w_(c+1) = height(w),
-    then len(w). Cached: all of criterion 8 asks 79,838 times for 38
-    words. A bad word raises on every call; exceptions are not cached."""
-    h = wd.height(w)
-    return tuple([c for c in range(1, len(w)) if w[c - 1] == w[c] == h]
-                 + [len(w)])
 
 
 class Forests:
@@ -761,29 +750,6 @@ def _graft(tree, forest):
                  for p, kids in tree)
 
 
-@lru_cache(maxsize=1024)
-def _plan(pi):
-    """Nesting plan of a normalized noncrossing partition: a tree per
-    outer block, in order; a tree is a tuple of (position, child trees),
-    where an inner block hangs on the position of its outer block just
-    before it, leftmost first."""
-    children = sp.siblings(sp.nesting(pi))
-
-    def tree(b):
-        kids = [[] for _p in b]
-        for c in children[b]:
-            kids[bisect_left(b, c[0]) - 1].append(tree(c))
-        return tuple(zip(b, map(tuple, kids)))
-
-    return tuple(tree(b) for b in children[None])
-
-
-def nesting_plan(pi):
-    """The nesting plan of a noncrossing partition given as any blocks,
-    for Forests.nested."""
-    return _plan(sp.normalize(pi))
-
-
 def _leaves(w, args):
     """The forest of the plain arguments, and its atoms."""
     w = tuple(w)
@@ -798,7 +764,7 @@ def B_pi_rep(w, pi, args):
     block's value multiplies the argument of its outer block just before
     the inner block, leftmost first."""
     forest, atoms = _leaves(w, args)
-    return Forests(atoms, motzkin=False).nested(nesting_plan(pi), forest)
+    return Forests(atoms, motzkin=False).nested(sp.nesting_plan(pi), forest)
 
 
 def K_w_rep(w, args):
@@ -817,14 +783,14 @@ def _split_plans(w):
     """The plans of the irreducible adapted partitions of the tuple word
     w with more than one block. Cached: K_w asks for them at every level
     of its recursion, and all of criterion 8 uses 38 distinct words."""
-    return tuple(_plan(pi) for pi in ad.enumerate_adapted(w, 'irr')
+    return tuple(sp._plan(pi) for pi in ad.enumerate_adapted(w, 'irr')
                  if len(pi) > 1)
 
 
 def K_pi_rep(w, pi, args):
     """Nested Motzkin cumulant K_pi of replica arguments."""
     forest, atoms = _leaves(w, args)
-    return Forests(atoms).nested(nesting_plan(pi), forest)
+    return Forests(atoms).nested(sp.nesting_plan(pi), forest)
 
 
 def K_closed_rep(w, args):
@@ -843,22 +809,23 @@ def beta_hat(label, variables):
 
 
 def beta_hat_pi(pi, labels, variables):
-    out = ONE
-    for b in pi:
-        out = out * beta_hat(labels[b[0] - 1],
-                             [variables[p - 1] for p in b])
-    return out
+    return block_sum(moment_to_boolean, labels,
+                     tuple([str(v) for v in variables]), (pi,))
 
 
 def B_closed_form(w, variables, labels):
     """Closed form for B_w on replicas: sum of partitioned Boolean
-    cumulants over the labeled monotone irreducible partitions, times
-    the projection of the word's height color."""
+    cumulants over the labeled monotone irreducible partitions (label
+    constant on blocks, alternating along nesting chains), times the
+    projection of the word's height color."""
     w = tuple(w)
-    classes = ad.labeled_classes(w, labels)
-    val = ZERO
-    for pi in classes['monotone_irr']:
-        val = val + beta_hat_pi(pi, labels, variables)
+    if len(labels) != len(w):
+        raise ValueError('labeling length mismatch')
+    val = block_sum(moment_to_boolean, labels,
+                    tuple([str(v) for v in variables]),
+                    [pi for pi in ad.enumerate_adapted(w, 'monotone_irr')
+                     if ad.block_labels_constant(pi, labels)
+                     and ad.chains_alternate(pi, labels)])
     return BElement({wd.height(w): val})
 
 
@@ -868,8 +835,7 @@ def K_closed_form_rep(w, variables, labels):
     w = tuple(w)
     if len(set(labels)) != 1:
         return B_ZERO
-    val = ZERO
-    for pi in ad.enumerate_adapted(w, 'monotone_irr'):
-        val = val + (-1) ** (len(pi) - 1) * beta_hat_pi(
-            pi, labels, variables)
+    val = block_sum(moment_to_boolean, labels,
+                    tuple([str(v) for v in variables]),
+                    ad.enumerate_adapted(w, 'monotone_irr'), signed=True)
     return BElement({wd.height(w): val})

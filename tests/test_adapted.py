@@ -1,5 +1,5 @@
 from bisect import bisect_left
-from itertools import product as iproduct
+from itertools import combinations, product as iproduct
 from math import comb
 
 import pytest
@@ -155,6 +155,34 @@ def test_interval_splits():
     assert ad.interval_splits((1, 2, 2, 1)) == [((1, 2, 3, 4),)]
     assert ad.interval_splits((1, 2, 1, 1)) == \
         [((1, 2, 3), (4,)), ((1, 2, 3, 4),)]
+
+
+def frozen_interval_splits(w):
+    # interval_splits as written before it read its cuts from _cuts
+    w = tuple(w)
+    n = len(w)
+    h = wd.height(w)
+    valid = [k for k in range(1, n) if w[k - 1] == h and w[k] == h]
+    out = []
+    for r in range(len(valid) + 1):
+        for cuts in combinations(valid, r):
+            blocks = []
+            start = 1
+            for k in cuts:
+                blocks.append(tuple(range(start, k + 1)))
+                start = k + 1
+            blocks.append(tuple(range(start, n + 1)))
+            out.append(tuple(blocks))
+    return sorted(out)
+
+
+def test_interval_splits_match_frozen():
+    words = [w for n in range(1, 9) for w in wd.enumerate_words(n)]
+    assert len(words) == 216
+    for w in words:
+        assert ad.interval_splits(w) == frozen_interval_splits(w), w
+        assert ad._cuts(w) == tuple(
+            b[-1] for b in ad.interval_splits(w)[0]), w
 
 
 def test_eta_bijection():

@@ -268,6 +268,28 @@ def test_convolve_length_limit(capsys, tmp_path):
     assert code == 1 and 'exceeds distribution order' in err
 
 
+@pytest.mark.parametrize('text, named', [
+    ('{}', "'alphabet'"),
+    ('{"alphabet": ["x"], "order": 1, "moments": []}', "'moments'"),
+    ('{"alphabet": ["x"], "order": "2", "moments": {"x": "0", "xx": "1"}}',
+     "'order'"),
+    ('{"alphabet": ["x"], "order": 1, "moments": {"x": null}}', "'moments'"),
+    ('{"alphabet": ["x"], "order": 1, "moments": {"x": "1/0"}}', "'moments'"),
+    ('{"alphabet": ["x"], "order": 1, "moments": {"x": Infinity}}',
+     "'moments'"),
+    ('[1]', 'JSON object'),
+    ('{"alphabet": [1], "order": 1, "moments": {"1": "0"}}', "'alphabet'"),
+])
+def test_convolve_rejects_malformed_distribution_files(capsys, tmp_path,
+                                                       text, named):
+    path = tmp_path / 'mu.json'
+    path.write_text(text)
+    code, out, err = run(capsys, 'convolve', '--mu1', str(path), '--mu2',
+                         str(path), '--monomial', 'x')
+    assert code == 1 and out == ''
+    assert err.startswith('error:') and named in err, err
+
+
 def test_convolve_missing_file(capsys, tmp_path):
     code, _, err = run(capsys, 'convolve', '--mu1', 'missing.json',
                        '--mu2', 'missing.json', '--monomial', 'x')

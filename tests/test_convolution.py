@@ -95,6 +95,17 @@ def test_three_letter_difference():
     assert cv.delta_sym(('a1', 'a2', 'a3')) == b2m(want)
 
 
+def test_delta_is_the_sum_of_the_non_constant_parts():
+    # delta_sym is the total minus the constant word's part; its
+    # definition sums the parts of the other words
+    for n in range(1, 7):
+        for names in (('x',) * n, tuple(f'a{i + 1}' for i in range(n)),
+                      tuple('xy'[i % 2] for i in range(n))):
+            want = cm._sum(cv.boxplus_w_sym(w, names, 'monotone')
+                           for w in wd.enumerate_words(n) if w != (1,) * n)
+            assert cv.delta_sym(names) == want, names
+
+
 def test_four_letter_parts():
     def total_beta(w):
         out = ZERO
@@ -396,7 +407,7 @@ def frozen_w_part(w, variables, route):
         return cm.ONE
     if route == 'replica':
         out = ZERO
-        for ell in cv._labelings(n):
+        for ell in iproduct((1, 2), repeat=n):
             x = rp.replica_word(variables, ell, w)
             out = out + rp.zeta_E(x)
         return out
@@ -483,7 +494,7 @@ def frozen_nested_part(w, pattern):
         for l in (1, 2)})
     out = ZERO
     for pi in filtered_family(w):
-        plan = rp.nesting_plan(pi)
+        plan = sp.nesting_plan(pi)
         for ell in ad.labelings_of(pi)['L']:
             forest = tuple(((p, l), ()) for p, l in enumerate(ell, 1))
             out = out + nested_K.nested(plan, forest).zeta()
@@ -597,6 +608,33 @@ def test_parts_match_frozen_build_on_every_names_tuple():
             delta = cm._sum(frozen[w, names, 'monotone'] for w in words
                             if w != (1,) * n)
             assert cv.delta_sym(names) == delta, names
+
+
+def frozen_product_sym(labeled_word, partitions, cumulant):
+    # convolution._product_sym as written before its block products went
+    # through cumulants.block_sum, kept unchanged as the reference
+    word = [(str(v), l) for v, l in labeled_word]
+    n = len(word)
+    if n == 0:
+        return cm.ONE
+    names = tuple(v for v, _l in word)
+    labels = tuple(l for _v, l in word)
+    return cm._sum(cm._prod(cumulant(labels[b[0] - 1],
+                                     ad.block_subword(names, b))
+                            for b in pi)
+                   for pi in partitions(n)
+                   if ad.block_labels_constant(pi, labels))
+
+
+def test_product_sums_match_frozen():
+    for n in range(6):
+        for names in (('x',) * n, tuple(f'a{i + 1}' for i in range(n))):
+            for ell in iproduct((1, 2), repeat=n):
+                word = list(zip(names, ell))
+                assert cv.free_product_sym(word) == frozen_product_sym(
+                    word, sp.noncrossing_partitions, cm.moment_to_free)
+                assert cv.boolean_product_sym(word) == frozen_product_sym(
+                    word, sp.interval_partitions, cm.moment_to_boolean)
 
 
 def test_free_product_is_linear_functional():

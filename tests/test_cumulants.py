@@ -1,6 +1,7 @@
 import multiprocessing
 import pickle
 import pytest
+from bisect import bisect_left
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product as iproduct
@@ -13,7 +14,8 @@ from ncmotzkin import partitions as sp
 from ncmotzkin import replicas as rp
 from ncmotzkin import words as wd
 from ncmotzkin.cumulants import Poly, ZERO, ONE, beta_sym, m_sym, UNIT
-from ncmotzkin.acceptance import EX102_PIECES, FIG4_PIECES, _beta_pi, _catalan
+from ncmotzkin.acceptance import (EX102_PIECES, FIG4_PIECES, _am_words,
+                                  _beta_pi, _catalan)
 
 
 def test_poly_arithmetic():
@@ -388,3 +390,94 @@ def test_output_sorts_by_raw_symbols_not_ids():
         {'coeff': '-1', 'monomial': [['m', 1, [1], 1], ['m', 1, [1], 1]]},
         {'coeff': '1', 'monomial': [['m', 1, [1], 1], ['m', 1, [2], 2]]},
         {'coeff': '2', 'monomial': [['m', 1, [2], 2]]}]
+
+
+# The four partition-sum transforms, motzkin_k and render_nested as
+# written before every block product went through cumulants.block_sum
+# and every nesting through partitions.nesting_plan, kept unchanged as
+# the reference.
+
+def frozen_free_to_moment(label, args):
+    return cm._sum(cm._prod(cm.r_sym(label, ad.block_subword(args, b))
+                            for b in pi)
+                   for pi in sp.noncrossing_partitions(len(args)))
+
+
+def frozen_boolean_to_moment(label, args):
+    return cm._sum(cm._prod(beta_sym(label, ad.block_subword(args, b))
+                            for b in pi)
+                   for pi in sp.interval_partitions(len(args)))
+
+
+def frozen_free_in_boolean(label, args):
+    return cm._sum((-1) ** (len(pi) - 1)
+                   * cm._prod(beta_sym(label, ad.block_subword(args, b))
+                              for b in pi)
+                   for pi in sp.irreducible_partitions(len(args)))
+
+
+def frozen_boolean_in_free(label, args):
+    return cm._sum(cm._prod(cm.r_sym(label, ad.block_subword(args, b))
+                            for b in pi)
+                   for pi in sp.irreducible_partitions(len(args)))
+
+
+def frozen_motzkin_k(w, args):
+    w = tuple(w)
+    args = [(str(v), l) for v, l in args]
+    if len(args) != len(w):
+        raise ValueError('argument/word length mismatch')
+    labels = {l for _v, l in args}
+    if len(labels) != 1:
+        return ZERO
+    label = labels.pop()
+    names = tuple(v for v, _l in args)
+    out = ZERO
+    for pi in ad.enumerate_adapted(w, 'monotone_irr'):
+        out = out + (-1) ** (len(pi) - 1) * cm._prod(
+            beta_sym(label, ad.block_subword(names, b)) for b in pi)
+    return out
+
+
+def frozen_render_nested(pi, w):
+    w = tuple(w)
+    children = sp.siblings(sp.nesting(sp.normalize(pi)))
+
+    def render_block(b):
+        sub = ''.join(str(x) for x in ad.block_subword(w, b))
+        parts = [f'a{p}' for p in b]
+        for c in children[b]:
+            parts[bisect_left(b, c[0]) - 1] += render_block(c)
+        return f'B_{sub}(' + ','.join(parts) + ')'
+
+    return ''.join(render_block(b) for b in children[None])
+
+
+def test_transforms_match_frozen_partition_sums():
+    pairs = {('r', 'm'): frozen_free_to_moment,
+             ('beta', 'm'): frozen_boolean_to_moment,
+             ('beta', 'r'): frozen_free_in_boolean,
+             ('r', 'beta'): frozen_boolean_in_free}
+    for n in range(1, 7):
+        for args in (('x',) * n, tuple(f'a{i + 1}' for i in range(n))):
+            for label in (0, 2):
+                for (src, dst), frozen in pairs.items():
+                    assert cm.transform(src, dst, label, args) == \
+                        frozen(label, args), (src, dst, label, args)
+
+
+def test_motzkin_k_and_renderings_match_frozen():
+    cases = renderings = 0
+    for n in range(1, 7):
+        names = [f'a{i + 1}' for i in range(n)]
+        for w in _am_words(n):
+            for ell in iproduct((1, 2), repeat=n):
+                args = list(zip(names, ell))
+                assert cm.motzkin_k(w, args) == frozen_motzkin_k(w, args), \
+                    (w, ell)
+                cases += 1
+            for pi in ad.enumerate_adapted(w):
+                assert cm.render_nested(pi, w) == \
+                    frozen_render_nested(pi, w), (pi, w)
+                renderings += 1
+    assert (cases, renderings) == (3210, 1236)

@@ -10,6 +10,7 @@ from ncmotzkin import acceptance as ac
 from ncmotzkin import adapted as ad
 from ncmotzkin import partitions as sp
 from ncmotzkin import replicas as rp
+from ncmotzkin import words as wd
 from ncmotzkin.cumulants import ONE, ZERO, m_sym
 
 
@@ -441,7 +442,7 @@ def frozen_K_closed_rep(w, args):
     nested_B = rp.Forests(atoms, motzkin=False)
     out = rp.B_ZERO
     for pi in ad.enumerate_adapted(w, 'irr'):
-        term = nested_B.nested(rp._plan(pi), forest)
+        term = nested_B.nested(sp._plan(pi), forest)
         out = out + (-1) ** (len(pi) - 1) * term
     return out
 
@@ -553,6 +554,57 @@ def test_K_closed_rep_matches_frozen_plans_to_five():
     assert cases == 778
     with pytest.raises(ValueError, match='n must be >= 1'):
         rp.K_closed_rep((), [])
+
+
+# The closed forms of B_w and K_w as written before their block products
+# went through cumulants.block_sum and before B_closed_form filtered
+# M_irr(w) itself, kept unchanged as the reference.
+
+def frozen_beta_hat_pi(pi, labels, variables):
+    out = ONE
+    for b in pi:
+        out = out * rp.beta_hat(labels[b[0] - 1],
+                                [variables[p - 1] for p in b])
+    return out
+
+
+def frozen_B_closed_form(w, variables, labels):
+    w = tuple(w)
+    classes = ad.labeled_classes(w, labels)
+    val = ZERO
+    for pi in classes['monotone_irr']:
+        val = val + frozen_beta_hat_pi(pi, labels, variables)
+    return rp.BElement({wd.height(w): val})
+
+
+def frozen_K_closed_form_rep(w, variables, labels):
+    w = tuple(w)
+    if len(set(labels)) != 1:
+        return rp.B_ZERO
+    val = ZERO
+    for pi in ad.enumerate_adapted(w, 'monotone_irr'):
+        val = val + (-1) ** (len(pi) - 1) * frozen_beta_hat_pi(
+            pi, labels, variables)
+    return rp.BElement({wd.height(w): val})
+
+
+def test_closed_forms_match_frozen():
+    cases = 0
+    for n in range(1, 7):
+        names = ac._vars(n, 'v')
+        for w in ac._am_words(n):
+            for ell in iproduct((1, 2), repeat=n):
+                assert rp.B_closed_form(w, names, ell) == \
+                    frozen_B_closed_form(w, names, ell), (w, ell)
+                assert rp.K_closed_form_rep(w, names, ell) == \
+                    frozen_K_closed_form_rep(w, names, ell), (w, ell)
+                for pi in ad.enumerate_adapted(w, 'monotone'):
+                    assert rp.beta_hat_pi(pi, ell, names) == \
+                        frozen_beta_hat_pi(pi, ell, names), (pi, ell)
+                cases += 1
+    assert cases == 3210
+    with pytest.raises(ValueError, match='labeling length mismatch'):
+        rp.B_closed_form((1, 1), ('a', 'b'), (1,))
 
 
 def belement_elements():
