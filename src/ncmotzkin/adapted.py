@@ -306,22 +306,6 @@ def chains_alternate(pi, labels):
     return True
 
 
-def labeled_classes(w, labels):
-    """NC(w, l): adapted partitions with label-constant blocks.
-    M(w, l): additionally monotone with labels alternating along
-    saturated nesting chains."""
-    w = tuple(w)
-    ell = tuple(labels)
-    if len(ell) != len(w):
-        raise ValueError('labeling length mismatch')
-    nc = [p for p in enumerate_adapted(w, 'all')
-          if block_labels_constant(p, ell)]
-    mono = [p for p in enumerate_adapted(w, 'monotone')
-            if block_labels_constant(p, ell) and chains_alternate(p, ell)]
-    mono_irr = [p for p in mono if sp.is_irreducible(p)]
-    return {'nc': nc, 'monotone': mono, 'monotone_irr': mono_irr}
-
-
 def labelings_of(pi):
     """L(pi): the 2^|pi| block-constant labelings; L0(pi): the subset
     alternating along nesting chains, built from one nesting scan: the

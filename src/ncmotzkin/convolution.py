@@ -86,6 +86,9 @@ class Distribution:
         moments = {}
         for k, v in data['moments'].items():
             try:
+                # a JSON float is binary, so not the rational it spells
+                if type(v) not in (int, str):
+                    raise TypeError
                 moments[tuple(k.split(sep)) if sep and k else tuple(k)] = \
                     Fraction(v)
             except (TypeError, ValueError, ArithmeticError):

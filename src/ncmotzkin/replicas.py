@@ -299,55 +299,32 @@ def p_proj(n):
     return e_proj(n) - e_proj(n - 1)
 
 
-def _site_branches(tokens):
-    """Expand every C into 1 (sign +) or P (sign -): list of
-    (sign, simplified word); annihilated branches are dropped."""
-    spots = [i for i, t in enumerate(tokens) if t == 'C']
-    if not spots:
-        return [(1, tokens)]
-    out = []
-    for choice in iproduct((0, 1), repeat=len(spots)):
-        sign = 1
-        word = list(tokens)
-        for i, c in zip(spots, choice):
-            if c:
-                sign = -sign
-                word[i] = 'P'
-            else:
-                word[i] = None
-        site = _simp_site(t for t in word if t is not None)
-        if site is not None:
-            out.append((sign, site))
-    return out
-
-
-def _runs(tokens):
-    """Maximal runs of algebra letters between projection letters."""
-    runs = []
-    cur = []
-    for t in tokens:
-        if t == 'P':
-            if cur:
-                runs.append(tuple(cur))
-                cur = []
-        else:
-            cur.append(t[1])
-    if cur:
-        runs.append(tuple(cur))
-    return runs
-
-
 @lru_cache(maxsize=4096)
-def _phi_site(tokens, label):
-    """Phi of one site's word on the label's marginal. Cached like
-    _mul_string: all of criterion 8 asks 6,198 times for 271 keys."""
-    out = ZERO
-    for sign, word in _site_branches(tokens):
-        val = ONE
-        for run in _runs(word):
-            val = val * m_sym(label, run)
-        out = out + sign * val
-    return out
+def _site_values(tokens, label):
+    """Phi of one site's word on the label's marginal, split in two: the
+    sum over its C-expansions (each C is 1 with sign + or P with sign -)
+    that leave no P at either end of the word (inner), and over those
+    that do (edge). An expanded word's phi is the product of the moments
+    of its runs of letters between projections. Cached: the strings of
+    all monomials are built from a few distinct site words."""
+    inner = edge = ZERO
+    for choice in iproduct((None, 'P'), repeat=tokens.count('C')):
+        picks = iter(choice)
+        word = [next(picks) if t == 'C' else t for t in tokens]
+        word = [t for t in word if t]
+        val = -ONE if choice.count('P') % 2 else ONE
+        run = []
+        for t in word + ['P']:
+            if t != 'P':
+                run.append(t[1])
+            elif run:
+                val = val * m_sym(label, tuple(run))
+                run = []
+        if word and 'P' in (word[0], word[-1]):
+            edge = edge + val
+        else:
+            inner = inner + val
+    return inner, edge
 
 
 def _phi_hat_site(tokens, label):
@@ -368,8 +345,8 @@ def phi(x, cutoff=0):
         for label, i in zip((1, 2), _MONOS[k]):
             sites, _tail = _STRINGS[i]
             for j, tokens in enumerate(sites, start=1):
-                f = _phi_hat_site if j <= cutoff else _phi_site
-                val = val * f(tokens, label)
+                val = val * (_phi_hat_site(tokens, label) if j <= cutoff
+                             else sum(_site_values(tokens, label), ZERO))
                 if val.is_zero():
                     break
             if val.is_zero():
@@ -485,48 +462,6 @@ B_ZERO = BElement()
 B_ONE = BElement({0: 1})
 
 
-def _branch_strings(string):
-    """All C-expansions of one string: list of (sign, branch string)."""
-    sites, tail = string
-    per_site = [_site_branches(t) for t in sites]
-    out = []
-    for combo in iproduct(*per_site):
-        sign = 1
-        branch = []
-        for s, word in combo:
-            sign *= s
-            branch.append(word)
-        out.append((sign, _canon_string(branch, tail)))
-    return out
-
-
-def _strip(string):
-    """Split one projection-and-letter string into boundary projection
-    flags and the interior core: returns (e colors, f colors, core)."""
-    sites, tail = string
-    eflags = set()
-    fflags = set()
-    core = []
-    for j, tokens in enumerate(sites, start=1):
-        if tokens == ('P',):
-            eflags.add(j)
-            fflags.add(j)
-            core.append(())
-            continue
-        t = tokens
-        if t and t[0] == 'P':
-            eflags.add(j)
-            t = t[1:]
-        if t and t[-1] == 'P':
-            fflags.add(j)
-            t = t[:-1]
-        core.append(t)
-    if tail == TAIL_PROJ:
-        eflags.add(len(sites) + 1)
-        fflags.add(len(sites) + 1)
-    return eflags, fflags, _canon_string(core, TAIL_ONE)
-
-
 def expectation(x):
     """Conditional expectation onto the span of 1 and the p_j. E is
     linear, so it is the sum over the terms of x of the coefficient times
@@ -548,12 +483,10 @@ def expectation(x):
 
 @lru_cache(maxsize=4096)
 def _expect_mono(k):
-    """E of the two-string monomial of id k: boundary projections of each
-    tensor factor determine the output color, the interior is evaluated
-    by phi, which on a two-string core is the product of its strings'
-    values. Bounded: all of criterion 8 asks 229,711 times for 2,926
-    monomials (98.7% hits), while the replica route's total at length 9
-    asks 2,123 times, every one a miss."""
+    """E of the two-string monomial of id k: the least color at which
+    either string leaves a boundary projection sets the output color,
+    and the values of the two strings multiply. Bounded, since the
+    `replica` convolution route asks for each of its monomials once."""
     s1, s2 = _MONOS[k]
     tops = {}
     for top1, v1 in _string_branches(s1, 1):
@@ -572,23 +505,26 @@ def _expect_mono(k):
 
 @lru_cache(maxsize=8192)
 def _string_branches(i, label):
-    """The C-expansions of the string of id i on the label's marginal: a
-    tuple of (least boundary projection color or 0 for none, signed phi
-    of the stripped core), without the branches whose phi is zero.
-    Cached: all of criterion 8 asks 7,633 times for 2,096 keys, the
-    `replica` route of length 9 with distinct names 6,746 times for
-    4,246."""
+    """The string of id i on the label's marginal as a tuple of (j,
+    value), one per least color j at which a C-expansion leaves a
+    boundary projection, zero values left out. One fold over the sites:
+    color j takes the inner parts of the sites before it, the edge part
+    of site j and the whole phi of each later site; the product of all
+    inner parts goes to the tail's color, len + 1 for a projection tail
+    and 0 for the unit. Cached: one string occurs in many monomials."""
+    sites, tail = _STRINGS[i]
     out = []
-    for sign, branch in _branch_strings(_STRINGS[i]):
-        e, f, (sites, _tail) = _strip(branch)
-        val = ONE if sign > 0 else -ONE
-        for tokens in sites:
-            val = val * _phi_site(tokens, label)
-            if not val.terms:
-                break
-        else:
-            out.append((min(e | f, default=0), val))
-    return tuple(out)
+    free = ONE
+    for j, tokens in enumerate(sites, start=1):
+        inner, edge = _site_values(tokens, label)
+        if out:
+            whole = inner + edge
+            out = [(k, v * whole) for k, v in out]
+        if edge.terms and free.terms:
+            out.append((j, free * edge))
+        free = free * inner
+    out.append((len(sites) + 1 if tail == TAIL_PROJ else 0, free))
+    return tuple((k, v) for k, v in out if v.terms)
 
 
 def zeta_E(x):

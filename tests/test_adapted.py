@@ -203,14 +203,6 @@ def test_eta_bijection():
         assert total == comb(2 * n - 2, n - 1) // n
 
 
-def test_labeled_classes():
-    out = ad.labeled_classes((1, 2, 2, 2, 1), (1, 2, 1, 2, 1))
-    assert all(ad.block_labels_constant(p, (1, 2, 1, 2, 1))
-               for p in out['nc'])
-    # the monotone class with alternating labels over 12221 is empty
-    assert out['monotone_irr'] == []
-
-
 def test_labelings_of():
     out = ad.labelings_of(((1, 4), (2, 3)))
     assert len(out['L']) == 4
@@ -381,31 +373,6 @@ def frozen_hasse(vertices, leq):
                 continue
             edges.append((a, b))
     return edges
-
-
-def frozen_labeled_classes(w, labels):
-    """NC(w, l), M(w, l) and M_irr(w, l), with M(w, l) filtered from
-    NC(w, l) by is_monotone."""
-    w = tuple(w)
-    ell = tuple(labels)
-    if len(ell) != len(w):
-        raise ValueError('labeling length mismatch')
-    nc = [p for p in ad.enumerate_adapted(w, 'all')
-          if ad.block_labels_constant(p, ell)]
-    mono = [p for p in nc
-            if ad.is_monotone(p, w) and ad.chains_alternate(p, ell)]
-    mono_irr = [p for p in mono if sp.is_irreducible(p)]
-    return {'nc': nc, 'monotone': mono, 'monotone_irr': mono_irr}
-
-
-def test_labeled_classes_match_frozen():
-    for n in range(1, 6):
-        for w in iproduct((1, 2, 3), repeat=n):
-            if not wd.is_motzkin(w):
-                continue
-            for ell in iproduct((1, 2), repeat=n):
-                assert ad.labeled_classes(w, ell) == \
-                    frozen_labeled_classes(w, ell), (w, ell)
 
 
 def test_enumerate_adapted_matches_frozen_filter():

@@ -163,6 +163,25 @@ def test_replicas_moment(capsys):
     assert 'nonempty' in err
 
 
+_MIXED = '-1*m_1(a)*m_1(d)*m_2(b,c) + m_1(a,d)*m_2(b,c)'
+
+
+@pytest.mark.parametrize('word, functional, expected', [
+    ('1221', 'phi', _MIXED),
+    ('1221', 'E', f'({_MIXED})*p1'),
+    ('1221', 'psi:2', '0'),
+    ('2332', 'phi', '0'),
+    ('2332', 'E', f'({_MIXED})*p2'),
+    ('2332', 'psi:2', _MIXED),
+])
+def test_replicas_moment_functionals(capsys, word, functional, expected):
+    # phi is zeta of E: the p1 part counts, the p2 part does not
+    code, out, _ = run(capsys, 'replicas', 'moment', '--word', word,
+                       '--labels', '1221', '--vars', 'a,b,c,d',
+                       '--functional', functional)
+    assert code == 0 and out == expected + '\n'
+
+
 def test_replicas_moment_expectation_json(capsys):
     code, out, _ = run(capsys, 'replicas', 'moment', '--word', '121',
                        '--labels', '121', '--vars', 'a,b,a',
@@ -277,6 +296,9 @@ def test_convolve_length_limit(capsys, tmp_path):
     ('{"alphabet": ["x"], "order": 1, "moments": {"x": "1/0"}}', "'moments'"),
     ('{"alphabet": ["x"], "order": 1, "moments": {"x": Infinity}}',
      "'moments'"),
+    ('{"alphabet": ["x"], "order": 2, "moments": {"x": 0.1, "xx": 1}}',
+     "'moments'"),
+    ('{"alphabet": ["x"], "order": 1, "moments": {"x": true}}', "'moments'"),
     ('[1]', 'JSON object'),
     ('{"alphabet": [1], "order": 1, "moments": {"1": "0"}}', "'alphabet'"),
 ])

@@ -174,8 +174,123 @@ def test_equality_with_foreign_types():
             op()
 
 
-# The expectation and B_w as first written, kept unchanged as the
-# reference for the per-monomial cache and the first-block recurrence.
+# The expectation, phi and B_w as first written, kept unchanged as the
+# reference for the per-monomial cache, the per-site fold and the
+# first-block recurrence.
+
+def frozen_site_branches(tokens):
+    """Expand every C into 1 (sign +) or P (sign -): list of
+    (sign, simplified word); annihilated branches are dropped."""
+    spots = [i for i, t in enumerate(tokens) if t == 'C']
+    if not spots:
+        return [(1, tokens)]
+    out = []
+    for choice in iproduct((0, 1), repeat=len(spots)):
+        sign = 1
+        word = list(tokens)
+        for i, c in zip(spots, choice):
+            if c:
+                sign = -sign
+                word[i] = 'P'
+            else:
+                word[i] = None
+        site = rp._simp_site(t for t in word if t is not None)
+        if site is not None:
+            out.append((sign, site))
+    return out
+
+
+def frozen_runs(tokens):
+    """Maximal runs of algebra letters between projection letters."""
+    runs = []
+    cur = []
+    for t in tokens:
+        if t == 'P':
+            if cur:
+                runs.append(tuple(cur))
+                cur = []
+        else:
+            cur.append(t[1])
+    if cur:
+        runs.append(tuple(cur))
+    return runs
+
+
+def frozen_phi_site(tokens, label):
+    """Phi of one site's word on the label's marginal."""
+    out = ZERO
+    for sign, word in frozen_site_branches(tokens):
+        val = ONE
+        for run in frozen_runs(word):
+            val = val * m_sym(label, run)
+        out = out + sign * val
+    return out
+
+
+def frozen_phi_hat_site(tokens, label):
+    # vanishes on words containing the projection; C acts as 1
+    if 'P' in tokens:
+        return ZERO
+    vars_ = tuple(t[1] for t in tokens if t != 'C')
+    return m_sym(label, vars_) if vars_ else ONE
+
+
+def frozen_phi(x, cutoff=0):
+    """The product functional site by site; the first `cutoff` sites by
+    the functional vanishing on projections, which yields Psi_j for
+    cutoff j - 1."""
+    total = ZERO
+    for strings, coeff in rp.raw_terms(x).items():
+        val = coeff
+        for label, (sites, _tail) in zip((1, 2), strings):
+            for j, tokens in enumerate(sites, start=1):
+                f = frozen_phi_hat_site if j <= cutoff else frozen_phi_site
+                val = val * f(tokens, label)
+        total = total + val
+    return total
+
+
+def frozen_branch_strings(string):
+    """All C-expansions of one string: list of (sign, branch string)."""
+    sites, tail = string
+    per_site = [frozen_site_branches(t) for t in sites]
+    out = []
+    for combo in iproduct(*per_site):
+        sign = 1
+        branch = []
+        for s, word in combo:
+            sign *= s
+            branch.append(word)
+        out.append((sign, rp._canon_string(branch, tail)))
+    return out
+
+
+def frozen_strip(string):
+    """Split one projection-and-letter string into boundary projection
+    flags and the interior core: returns (e colors, f colors, core)."""
+    sites, tail = string
+    eflags = set()
+    fflags = set()
+    core = []
+    for j, tokens in enumerate(sites, start=1):
+        if tokens == ('P',):
+            eflags.add(j)
+            fflags.add(j)
+            core.append(())
+            continue
+        t = tokens
+        if t and t[0] == 'P':
+            eflags.add(j)
+            t = t[1:]
+        if t and t[-1] == 'P':
+            fflags.add(j)
+            t = t[:-1]
+        core.append(t)
+    if tail == rp.TAIL_PROJ:
+        eflags.add(len(sites) + 1)
+        fflags.add(len(sites) + 1)
+    return eflags, fflags, rp._canon_string(core, rp.TAIL_ONE)
+
 
 def frozen_expectation(x):
     """Conditional expectation onto the span of 1 and the p_j: boundary
@@ -183,11 +298,11 @@ def frozen_expectation(x):
     interior is evaluated by phi."""
     out = rp.BElement()
     for (s1, s2), coeff in rp.raw_terms(x).items():
-        for sign1, b1 in rp._branch_strings(s1):
-            for sign2, b2 in rp._branch_strings(s2):
-                e1, f1, core1 = rp._strip(b1)
-                e2, f2, core2 = rp._strip(b2)
-                val = rp.phi(rp.Rep({(core1, core2): coeff}))
+        for sign1, b1 in frozen_branch_strings(s1):
+            for sign2, b2 in frozen_branch_strings(s2):
+                e1, f1, core1 = frozen_strip(b1)
+                e2, f2, core2 = frozen_strip(b2)
+                val = frozen_phi(rp.Rep({(core1, core2): coeff}))
                 if val.is_zero():
                     continue
                 val = Fraction(sign1 * sign2) * val
@@ -233,14 +348,27 @@ def test_B_w_rep_matches_split_recursion():
 
 
 def test_expectation_matches_uncached():
+    # the plain product and the product with p_j inserted before
+    # argument i; phi is zeta of E, and Psi_c is phi with the first c - 1
+    # sites taken by the functional vanishing on projections
+    cases = 0
     for n in range(1, 5):
         for w in iproduct((1, 2, 3), repeat=n):
             for ell in iproduct((1, 2), repeat=n):
                 args = ac._replicas(w, ell, 'x')
-                for i, j in iproduct(range(n + 1), (1, 2, 3)):
-                    x = rp.rep_product(args[:i] + [rp.p_proj(j)] + args[i:])
+                for i, j in [(0, None)] + list(iproduct(range(n + 1),
+                                                        (1, 2, 3))):
+                    proj = [] if j is None else [rp.p_proj(j)]
+                    x = rp.rep_product(args[:i] + proj + args[i:])
                     assert rp.expectation(x) == frozen_expectation(x), \
                         (w, ell, i, j)
+                    assert rp.phi(x) == frozen_phi(x) == \
+                        rp.expectation(x).zeta(), (w, ell, i, j)
+                    for c in (1, 2, 3, 4):
+                        assert rp.psi(c, x) == frozen_phi(x, c - 1), \
+                            (w, ell, i, j, c)
+                    cases += 1
+    assert cases == 23946
 
 
 def test_expectation_matches_frozen_on_sums():
@@ -263,6 +391,27 @@ def test_expectation_matches_frozen_on_sums():
     assert {(0, False), (1, False), (1, True), (2, False), (2, True),
             (4, True)} <= shapes
     assert rp.expectation(rp.REP_ZERO) == rp.B_ZERO
+
+
+def test_expectation_matches_frozen_on_raw_strings():
+    # raw monomials with site words that products of replicas and
+    # projections may not reach, such as a letter followed by P alone
+    def site_words(letters, top):
+        return [t for n in range(top + 1)
+                for t in iproduct(letters + ['P', 'C'], repeat=n)
+                if rp._simp_site(t) == t]
+
+    tails = (rp.TAIL_ONE, rp.TAIL_PROJ)
+    strings1 = [(sites, tail)
+                for s in site_words([('v', 'a'), ('v', 'b')], 3)
+                for sites in ((s,), ((), s)) for tail in tails]
+    strings2 = [((s,), tail) for s in site_words([('v', 'c')], 2)
+                for tail in tails]
+    for s1, s2 in iproduct(strings1, strings2):
+        x = rp.Rep({(s1, s2): 1})
+        assert rp.expectation(x) == frozen_expectation(x), (s1, s2)
+        assert rp.phi(x) == frozen_phi(x), (s1, s2)
+    assert (len(strings1), len(strings2)) == (228, 18)
 
 
 def test_rep_product_starts_from_first_argument():
@@ -570,10 +719,11 @@ def frozen_beta_hat_pi(pi, labels, variables):
 
 def frozen_B_closed_form(w, variables, labels):
     w = tuple(w)
-    classes = ad.labeled_classes(w, labels)
     val = ZERO
-    for pi in classes['monotone_irr']:
-        val = val + frozen_beta_hat_pi(pi, labels, variables)
+    for pi in ad.enumerate_adapted(w, 'monotone'):
+        if ad.block_labels_constant(pi, labels) and \
+                ad.chains_alternate(pi, labels) and sp.is_irreducible(pi):
+            val = val + frozen_beta_hat_pi(pi, labels, variables)
     return rp.BElement({wd.height(w): val})
 
 
