@@ -115,11 +115,9 @@ def run_shapes(key):
     the run, the key of the run in the gap after each of its positions
     but the last, or None, and the key of the rest, or None. Runs with
     no partition are never named. Keys hold letters, not positions, so
-    every word and consumer holding a run shares its entry. Bounded:
-    enumerate_adapted over every class and reduced word to n=8 uses
-    1,026 keys, the monotone total of x^12 10,998 and the nested total
-    of x^8 594; a bound of 4,096 raised the x^12 total's peak RSS by
-    3 MB and saved no time."""
+    every word and consumer holding a run shares its entry. Bounded,
+    since the convolution totals of long words name many keys that no
+    later call reads, and a larger bound cost memory and saved no time."""
     if not _opens(key):
         return ()
     letters, depth, bridge, base, irr = key
@@ -161,32 +159,35 @@ def _opens(key):
     return bridge <= h >= depth and (base is None or depth == h - base + 1)
 
 
+@lru_cache(maxsize=4096)
+def _partitions(key, at):
+    """The partitions of the run `key` whose positions follow `at`, as a
+    tuple: the grammar run_shapes read as a list. For each shape, its
+    first block with a partition of each gap's run and of the rest
+    appended, so the blocks come in order of their minima. Keyed like
+    run_shapes, plus the offset, so every word and class that holds a run
+    at one offset shares its entry. Bounded, since an entry holds whole
+    lists of partitions and a long word's top-level entry all of NC(w)."""
+    out = []
+    for block, gaps, rest in run_shapes(key):
+        fills = [_partitions(g, at + p) for p, g in zip(block, gaps) if g]
+        if rest:
+            fills.append(_partitions(rest, at + block[-1]))
+        head = (tuple([at + p for p in block]),)
+        out += [head + sum(parts, ()) for parts in product(*fills)]
+    return tuple(out)
+
+
 def enumerate_adapted(w, cls='all'):
     """Sorted partitions of w of a class (all, irr, monotone,
-    monotone_irr): the grammar run_shapes read as a list. A run's
-    partitions at offset `at` are, for each shape, its first block with
-    a partition of each gap's run and of the rest appended, so the
-    blocks come in order of their minima."""
+    monotone_irr), as a fresh list: the run fold _partitions on the whole
+    word."""
     w = tuple(w)
     if cls not in ('all', 'irr', 'monotone', 'monotone_irr'):
         raise ValueError(f'unknown class {cls!r}')
     sp._check_size(len(w))
-
-    @lru_cache(maxsize=None)
-    def partitions(key, at):
-        out = []
-        for block, gaps, rest in run_shapes(key):
-            fills = [partitions(g, at + p) for p, g in zip(block, gaps) if g]
-            if rest:
-                fills.append(partitions(rest, at + block[-1]))
-            head = (tuple([at + p for p in block]),)
-            out += [head + sum(parts, ()) for parts in product(*fills)]
-        return out
-
     base = min(w) if cls.startswith('monotone') else None
-    out = sorted(partitions((w, 1, 0, base, cls.endswith('irr')), 0))
-    del partitions  # it refers to itself: free its memo now
-    return out
+    return sorted(_partitions((w, 1, 0, base, cls.endswith('irr')), 0))
 
 
 def zero_hat(w):

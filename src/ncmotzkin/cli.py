@@ -163,10 +163,18 @@ def cmd_poset(args):
             _emit(f'{sp.format_partition(pi)} {wd.format_word(w)}')
 
 
+def _names(text):
+    """Comma-separated variable names, each nonempty."""
+    names = tuple(text.split(','))
+    if not all(names):
+        raise ValueError('variable names must be nonempty')
+    return names
+
+
 def cmd_cumulants_decompose(args):
     n = args.n
     if args.multivariate:
-        variables = tuple(args.multivariate.split(','))
+        variables = _names(args.multivariate)
         if len(variables) != n:
             raise ValueError('need one variable per letter')
     else:
@@ -204,9 +212,7 @@ def cmd_cumulants_transform(args):
 def cmd_replicas_moment(args):
     w = wd.parse_word(args.word)
     labels = wd.parse_word(args.labels)
-    variables = args.vars.split(',')
-    if not all(variables):
-        raise ValueError('variable names must be nonempty')
+    variables = _names(args.vars)
     if not (len(w) == len(labels) == len(variables)):
         raise ValueError('word, labels and vars must have equal length')
     if any(l not in (1, 2) for l in labels):

@@ -10,12 +10,13 @@ holds blocks as int masks, bit x for element x, built by `_masks`,
 which checks in the same pass, with normalize's messages, that the
 blocks partition 1..n in any order; it joins them and returns the
 canonical form. `adapted.is_adapted` checks its input with `_masks`
-too. NC(n) and Int(n) are generated from their members on [n-1],
-NC_irr(n) from NC(n-1).
+too. NC(n) is generated by its first block (`_nc`), Int(n) from
+Int(n-1) and NC_irr(n) from NC(n-1).
 """
 
 from bisect import bisect_left
 from functools import lru_cache
+from itertools import product
 
 
 def normalize(blocks):
@@ -109,50 +110,55 @@ def is_interval(pi):
     return all(b[-1] - b[0] + 1 == len(b) for b in pi)
 
 
-def _outer_blocks(pi):
-    """Indices of the blocks of a noncrossing pi that no block encloses:
-    those whose maximum exceeds the maxima of all blocks before them."""
+@lru_cache(maxsize=None)
+def _nc(lo, hi):
+    """The noncrossing partitions of lo..hi, sorted; ((),) when the range
+    is empty. The blocks of lo come in lexicographic order, and each is
+    followed by every product of the partitions of its gaps and of the
+    positions after it: blocks come in order of their minima, and one
+    gap's blocks all end before the next gap's begin, so the list is
+    sorted as it is built. Keyed on absolute positions, so NC(n) reuses
+    every interval that NC(n-1) built; unbounded, since its keys are only
+    the intervals of 1..n and its entries share their blocks."""
+    if lo > hi:
+        return ((),)
     out = []
-    top = 0
-    for i, b in enumerate(pi):
-        if b[-1] > top:
-            top = b[-1]
-            out.append(i)
-    return out
-
-
-def _last_block(pi):
-    return (len(pi) - 1,)
+    stack = [(lo,)]  # a recursive closure would leave a ref cycle
+    while stack:
+        block = stack.pop()
+        last = block[-1]
+        fills = [_nc(a + 1, b - 1) for a, b in zip(block, block[1:])
+                 if b > a + 1]
+        fills.append(_nc(last + 1, hi))
+        head = (block,)
+        out += [head + sum(parts, ()) for parts in product(*fills)]
+        stack += [block + (q,) for q in range(hi, last, -1)]
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)
-def _grown(n, takers):
-    """Sorted partitions of [n]: each one of [n-1] of the same family
-    with n added as a singleton or to one of the blocks `takers` names.
-    n joins a noncrossing partition without a crossing exactly at a
-    block that no block encloses, and an interval partition at its last
-    block."""
+def _intervals(n):
+    """Int(n), sorted: each member of Int(n-1) with n added as a
+    singleton or to its last block."""
     if n == 1:
         return (((1,),),)
     out = []
-    for pi in _grown(n - 1, takers):
-        out.append(pi + ((n,),))
-        out += [pi[:i] + (pi[i] + (n,),) + pi[i + 1:] for i in takers(pi)]
+    for pi in _intervals(n - 1):
+        out += [pi + ((n,),), pi[:-1] + (pi[-1] + (n,),)]
     return tuple(sorted(out))
 
 
 @lru_cache(maxsize=None)
 def _irreducible(n):
     """NC_irr(n): each member of NC(n-1) with n joined to the block of 1,
-    a bijection; sorted."""
+    a bijection; sorted, since the join does not keep NC(n-1)'s order."""
     if n == 1:
         return (((1,),),)
-    return tuple(sorted((pi[0] + (n,),) + pi[1:]
-                        for pi in _grown(n - 1, _outer_blocks)))
+    return tuple(sorted((pi[0] + (n,),) + pi[1:] for pi in _nc(1, n - 1)))
 
 
 def noncrossing_partitions(n):
-    return list(_grown(_check_size(n), _outer_blocks))
+    return list(_nc(1, _check_size(n)))
 
 
 def irreducible_partitions(n):
@@ -160,7 +166,7 @@ def irreducible_partitions(n):
 
 
 def interval_partitions(n):
-    return list(_grown(_check_size(n), _last_block))
+    return list(_intervals(_check_size(n)))
 
 
 def enumerate_partitions(n, cls='all'):

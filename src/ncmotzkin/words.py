@@ -147,7 +147,11 @@ def to_tableau(w):
 
 
 def check_tableau(rows):
-    """Validate a <=3-row standard Young tableau filled with 1..m."""
+    """Validate a <=3-row standard Young tableau filled with 1..m, given
+    as a list of lists of ints (not bools)."""
+    if not (isinstance(rows, list) and all(isinstance(r, list) for r in rows)
+            and all(type(x) is int for r in rows for x in r)):
+        raise ValueError('tableau must be a list of lists of integers')
     if len(rows) > 3:
         raise ValueError('tableau must have at most 3 rows')
     if not rows:

@@ -1,4 +1,5 @@
 from bisect import bisect_left
+from functools import lru_cache
 from itertools import combinations, product as iproduct
 from math import comb
 
@@ -389,6 +390,45 @@ def test_enumerate_adapted_matches_frozen_filter():
         ad.enumerate_adapted((1, 1), 'crossing')
     with pytest.raises(ValueError, match='n must be >= 1'):
         ad.enumerate_adapted(())
+
+
+def frozen_enumerate_adapted(w, cls='all'):
+    """The run fold with a memo of its own for each call: the reference
+    for the fold kept across calls."""
+    w = tuple(w)
+
+    @lru_cache(maxsize=None)
+    def partitions(key, at):
+        out = []
+        for block, gaps, rest in ad.run_shapes(key):
+            fills = [partitions(g, at + p) for p, g in zip(block, gaps) if g]
+            if rest:
+                fills.append(partitions(rest, at + block[-1]))
+            head = (tuple([at + p for p in block]),)
+            out += [head + sum(parts, ()) for parts in iproduct(*fills)]
+        return out
+
+    base = min(w) if cls.startswith('monotone') else None
+    out = sorted(partitions((w, 1, 0, base, cls.endswith('irr')), 0))
+    del partitions  # it refers to itself: free its memo now
+    return out
+
+
+def test_enumerate_adapted_matches_frozen_closure():
+    cases = [(w, cls) for n in range(1, 9) for w in wd.enumerate_words(n)
+             for cls in ('all', 'irr', 'monotone', 'monotone_irr')]
+    want = {case: frozen_enumerate_adapted(*case) for case in cases}
+    for case in cases:  # cold: nothing left by another word
+        ad._partitions.cache_clear()
+        assert ad.enumerate_adapted(*case) == want[case], case
+    for order in (cases, cases[::-1]):  # warm: runs left by other words
+        ad._partitions.cache_clear()
+        for case in order + order:
+            assert ad.enumerate_adapted(*case) == want[case], case
+    assert ad._partitions.cache_info().maxsize is not None
+    w = (1, 2, 2, 1)
+    ad.enumerate_adapted(w).append('junk')
+    assert 'junk' not in ad.enumerate_adapted(w)
 
 
 # NC(w) written from its definition, one condition per function, with

@@ -117,6 +117,14 @@ def test_cumulants_decompose(capsys):
     ]
 
 
+def test_cumulants_decompose_rejects_empty_variable_names(capsys):
+    code, out, err = run(capsys, 'cumulants', 'decompose', '--n', '3',
+                         '--multivariate', 'a,,b')
+    assert code == 1
+    assert out == ''
+    assert err == 'error: variable names must be nonempty\n'
+
+
 def test_cumulants_decompose_json(capsys):
     code, out, _ = run(capsys, 'cumulants', 'decompose', '--n', '4',
                        '--json')
@@ -329,6 +337,14 @@ def test_syt_tableau_to_word(capsys):
     code, out, _ = run(capsys, 'syt', '--tableau', '[[1,2],[3,4]]')
     assert code == 0
     assert out == '12321\n'
+
+
+@pytest.mark.parametrize('rows', ['[1]', '{}', '[[true]]', '[[1.0,2]]'])
+def test_syt_rejects_tableaux_not_lists_of_int_lists(capsys, rows):
+    code, out, err = run(capsys, 'syt', '--tableau', rows)
+    assert code == 1
+    assert out == ''
+    assert err.startswith('error:')
 
 
 def test_syt_requires_one_input(capsys):

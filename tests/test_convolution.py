@@ -567,6 +567,7 @@ def test_grammar_entries_are_shared_by_words_and_consumers():
     pattern = ('#1', '#2', '#1', '#1', '#2', '#3')
     for route, cls in (('monotone', 'monotone'), ('nested', 'all')):
         grammar.cache_clear()
+        ad._partitions.cache_clear()
         cv._monotone_run.cache_clear()
         cv._w_part.__wrapped__(w, pattern, route)
         left = grammar.cache_info()
@@ -578,9 +579,11 @@ def test_grammar_entries_are_shared_by_words_and_consumers():
         assert after.hits > left.hits, route
     # a word that holds some of the runs builds only the others
     grammar.cache_clear()
+    ad._partitions.cache_clear()
     ad.enumerate_adapted((1, 2, 2, 1, 1, 1), 'monotone')
     cold = grammar.cache_info().misses
     grammar.cache_clear()
+    ad._partitions.cache_clear()
     cv._monotone_run.cache_clear()
     cv._w_part.__wrapped__(w, pattern, 'monotone')
     left = grammar.cache_info()

@@ -1,3 +1,4 @@
+from functools import lru_cache
 from itertools import combinations
 
 import pytest
@@ -210,6 +211,62 @@ def test_generated_families_match_filters():
         for cls, want in (('all', sorted(every)), ('nc', nc),
                           ('nc_irr', irr), ('interval', interval)):
             assert sp.enumerate_partitions(n, cls) == want
+
+
+# The growth of NC(n) and Int(n) from their members on [n-1], sorted at
+# each step, and NC_irr(n) from NC(n-1): the reference for the
+# first-block fold.
+
+def frozen_outer_blocks(pi):
+    """Indices of the blocks of a noncrossing pi that no block encloses:
+    those whose maximum exceeds the maxima of all blocks before them."""
+    out = []
+    top = 0
+    for i, b in enumerate(pi):
+        if b[-1] > top:
+            top = b[-1]
+            out.append(i)
+    return out
+
+
+def frozen_last_block(pi):
+    return (len(pi) - 1,)
+
+
+@lru_cache(maxsize=None)
+def frozen_grown(n, takers):
+    """Sorted partitions of [n]: each one of [n-1] of the same family
+    with n added as a singleton or to one of the blocks `takers` names."""
+    if n == 1:
+        return (((1,),),)
+    out = []
+    for pi in frozen_grown(n - 1, takers):
+        out.append(pi + ((n,),))
+        out += [pi[:i] + (pi[i] + (n,),) + pi[i + 1:] for i in takers(pi)]
+    return tuple(sorted(out))
+
+
+def frozen_irreducible(n):
+    if n == 1:
+        return [((1,),)]
+    return sorted((pi[0] + (n,),) + pi[1:]
+                  for pi in frozen_grown(n - 1, frozen_outer_blocks))
+
+
+def test_generated_families_match_frozen_growth():
+    for n in range(1, 12):
+        assert sp.noncrossing_partitions(n) == \
+            list(frozen_grown(n, frozen_outer_blocks)), n
+        assert sp.irreducible_partitions(n) == frozen_irreducible(n), n
+        assert sp.interval_partitions(n) == \
+            list(frozen_grown(n, frozen_last_block)), n
+    # an interval's entry is NC of its length, shifted to its positions
+    for lo in range(1, 6):
+        for hi in range(lo, lo + 7):
+            assert sp._nc(lo, hi) == tuple(
+                tuple(tuple(x + lo - 1 for x in b) for b in pi)
+                for pi in frozen_grown(hi - lo + 1, frozen_outer_blocks))
+    assert sp._nc(4, 3) == ((),)
 
 
 def test_families_return_fresh_lists():
