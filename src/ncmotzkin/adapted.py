@@ -113,8 +113,10 @@ def run_shapes(key):
 
     A shape is (block, gaps, rest): the first block as positions 1.. of
     the run, the key of the run in the gap after each of its positions
-    but the last, or None, and the key of the rest, or None. Runs with
-    no partition are never named. Keys hold letters, not positions, so
+    but the last, or None, and the key of the rest, or None. Shapes come
+    in lexicographic order of their first blocks: a block is listed
+    before its extensions, which are pushed in reverse. Runs with no
+    partition are never named. Keys hold letters, not positions, so
     every word and consumer holding a run shares its entry. Bounded,
     since the convolution totals of long words name many keys that no
     later call reads, and a larger bound cost memory and saved no time."""
@@ -138,6 +140,7 @@ def run_shapes(key):
             rest = run(last, n, depth, bridge) if last < n else None
             if last == n or rest:
                 shapes.append((block, gaps, rest))
+        grown = []
         for q in range(last + 1, n + 1):
             if q > last + 1 and letters[q - 2] < letters[last]:
                 break  # so would every longer gap hold a letter below its own
@@ -147,7 +150,8 @@ def run_shapes(key):
             gap = run(last, q - 1, depth + 1, max(x, y)) if q > last + 1 \
                 else None
             if q == last + 1 or gap:
-                stack.append((block + (q,), gaps + (gap,)))
+                grown.append((block + (q,), gaps + (gap,)))
+        stack += reversed(grown)
     return tuple(shapes)
 
 
@@ -164,9 +168,11 @@ def _partitions(key, at):
     """The partitions of the run `key` whose positions follow `at`, as a
     tuple: the grammar run_shapes read as a list. For each shape, its
     first block with a partition of each gap's run and of the rest
-    appended, so the blocks come in order of their minima. Keyed like
-    run_shapes, plus the offset, so every word and class that holds a run
-    at one offset shares its entry. Bounded, since an entry holds whole
+    appended, so the blocks come in order of their minima. The first
+    blocks come in lexicographic order, and one gap's blocks all end
+    before the next gap's begin, so the list is sorted as it is built,
+    as _nc's is. Keyed like run_shapes, plus the offset, so every word
+    and class that holds a run at one offset shares its entry. Bounded, since an entry holds whole
     lists of partitions and a long word's top-level entry all of NC(w)."""
     out = []
     for block, gaps, rest in run_shapes(key):
@@ -181,13 +187,13 @@ def _partitions(key, at):
 def enumerate_adapted(w, cls='all'):
     """Sorted partitions of w of a class (all, irr, monotone,
     monotone_irr), as a fresh list: the run fold _partitions on the whole
-    word."""
+    word, which builds them in sorted order."""
     w = tuple(w)
     if cls not in ('all', 'irr', 'monotone', 'monotone_irr'):
         raise ValueError(f'unknown class {cls!r}')
     sp._check_size(len(w))
     base = min(w) if cls.startswith('monotone') else None
-    return sorted(_partitions((w, 1, 0, base, cls.endswith('irr')), 0))
+    return list(_partitions((w, 1, 0, base, cls.endswith('irr')), 0))
 
 
 def zero_hat(w):

@@ -223,8 +223,8 @@ def cmd_replicas_moment(args):
         val = rp.phi(x)
     elif spec == 'E':
         val = rp.expectation(x)
-    elif spec.startswith('psi:'):
-        val = rp.psi(int(spec.split(':', 1)[1]), x)
+    elif spec[:4] == 'psi:' and spec[4:].isascii() and spec[4:].isdigit():
+        val = rp.psi(int(spec[4:]), x)
     else:
         raise ValueError(f'unknown functional {spec!r}')
     if args.json:

@@ -262,8 +262,8 @@ def _pattern(variables):
 @lru_cache(maxsize=1024)
 def _named(build, key, variables, route):
     """build(key, pattern, route) of the names' pattern, renamed to the
-    names. Bounded: a convolve benchmark pass asks for 95 part keys and
-    23 totals, criterion 10 for 59 keys in all."""
+    names. Bounded, since a process asks for the parts and totals of a
+    few name patterns, each many times over."""
     pattern, back = _pattern(variables)
     out = build(key, pattern, route)
     return out if pattern == variables else rename(out, back)
@@ -272,8 +272,8 @@ def _named(build, key, variables, route):
 @lru_cache(maxsize=512)
 def _w_part(w, pattern, route):
     """boxplus_w_sym on a tuple word and a tuple of str names, which
-    boxplus_w_sym gives as their first-occurrence pattern. Bounded: a
-    convolve benchmark pass uses 74 keys, criterion 10 uses 73."""
+    boxplus_w_sym gives as their first-occurrence pattern. Bounded,
+    since the reduced words and patterns a process meets are few."""
     n = len(w)
     if len(pattern) != n:
         raise ValueError('word/monomial length mismatch')
@@ -346,10 +346,9 @@ def _monotone_run(w, names, label):
     top level (label None) each block picks its own label.
 
     A run depends only on its letters, names and label, so every word
-    and pattern that holds it shares it. Bounded: a convolve benchmark
-    pass asks for about 115 distinct runs, the total of x^11 for 4,862.
-    A bound of 4,096 saved little time on the totals at the length
-    limits and cost about 20 MB more peak RSS."""
+    and pattern that holds it shares it. Bounded, since a larger bound
+    saved little time on the totals at the length limits and cost peak
+    memory."""
     labels = (1, 2) if label is None else (label,)
     parts = []
     for block, gaps, rest in ad.run_shapes((w, w[0], w[0] - 1, 1, False)):

@@ -17,12 +17,11 @@ takes raw-symbol monomials. Renaming variables (`rename`) and swapping
 the labels 1 and 2 (`mirror`) map ids to ids, each id once.
 
 The table, and the id map `mirror` keeps, have no bound: a symbol is kept
-after the last Poly that holds it is gone. A symbol costs about 220
-bytes, and the symbols a process meets are those of the variable names
-it is given, so the table is small for any fixed set of names (the
-CLI, `verify` and the benchmarks). A long-lived process that asks for
-parts of ever new name tuples grows with them: 20,000 distinct 5-tuples
-on one word add 160,000 symbols and about 34 MB.
+after the last Poly that holds it is gone. The symbols a process meets
+are those of the variable names it is given, so the table is small for
+any fixed set of names (the CLI, `verify` and the benchmarks). A
+long-lived process that asks for parts of ever new name tuples grows
+with them.
 """
 
 from fractions import Fraction

@@ -10,8 +10,9 @@ holds blocks as int masks, bit x for element x, built by `_masks`,
 which checks in the same pass, with normalize's messages, that the
 blocks partition 1..n in any order; it joins them and returns the
 canonical form. `adapted.is_adapted` checks its input with `_masks`
-too. NC(n) is generated by its first block (`_nc`), Int(n) from
-Int(n-1) and NC_irr(n) from NC(n-1).
+too. NC(n) is generated by its first block (`_nc`); Int(n) and
+NC_irr(n) are read off the grammar of NC(w) (`adapted._partitions`), as
+NC(1^n) and NC_irr(n^n).
 """
 
 from bisect import bisect_left
@@ -119,7 +120,10 @@ def _nc(lo, hi):
     gap's blocks all end before the next gap's begin, so the list is
     sorted as it is built. Keyed on absolute positions, so NC(n) reuses
     every interval that NC(n-1) built; unbounded, since its keys are only
-    the intervals of 1..n and its entries share their blocks."""
+    the intervals of 1..n and its entries share their blocks. NC(n) keeps
+    this fold rather than read NC(n^n) off the grammar of NC(w): the
+    grammar's run keys carry depth and the letter n, so NC(n) and NC(n+1)
+    would share no entry."""
     if lo > hi:
         return ((),)
     out = []
@@ -136,37 +140,21 @@ def _nc(lo, hi):
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
-def _intervals(n):
-    """Int(n), sorted: each member of Int(n-1) with n added as a
-    singleton or to its last block."""
-    if n == 1:
-        return (((1,),),)
-    out = []
-    for pi in _intervals(n - 1):
-        out += [pi + ((n,),), pi[:-1] + (pi[-1] + (n,),)]
-    return tuple(sorted(out))
-
-
-@lru_cache(maxsize=None)
-def _irreducible(n):
-    """NC_irr(n): each member of NC(n-1) with n joined to the block of 1,
-    a bijection; sorted, since the join does not keep NC(n-1)'s order."""
-    if n == 1:
-        return (((1,),),)
-    return tuple(sorted((pi[0] + (n,),) + pi[1:] for pi in _nc(1, n - 1)))
-
-
 def noncrossing_partitions(n):
     return list(_nc(1, _check_size(n)))
 
 
 def irreducible_partitions(n):
-    return list(_irreducible(_check_size(n)))
+    """NC_irr(n), sorted: NC_irr(w) for the word n^n, whose letter n
+    bounds no block's depth."""
+    from .adapted import _partitions
+    return list(_partitions(((_check_size(n),) * n, 1, 0, None, True), 0))
 
 
 def interval_partitions(n):
-    return list(_intervals(_check_size(n)))
+    """Int(n), sorted: NC(w) for the word 1^n, whose blocks nest nothing."""
+    from .adapted import _partitions
+    return list(_partitions(((1,) * _check_size(n), 1, 0, None, False), 0))
 
 
 def enumerate_partitions(n, cls='all'):

@@ -17,9 +17,8 @@ expectations of monomials are cached lookups on ints. Ids depend on the
 order in which strings are first met, so they never leave the process:
 `string_of`, `monomial_of` and `raw_terms` read them back, a Rep pickles
 through its raw terms, and `Rep(terms)` takes raw two-string monomials.
-The tables have no bound: criterion 8 leaves 1,544 strings and 3,351
-monomials, the `replica` route at length 9 with distinct names 8,455
-and 4,525.
+The tables have no bound, since the words the command line and
+`verify` take meet few enough strings and monomials to keep them all.
 """
 
 from fractions import Fraction
@@ -107,10 +106,8 @@ def raw_terms(x):
 @lru_cache(maxsize=16384)
 def _mul_string(i, j):
     """The id of the product of the strings of ids i and j, site by site;
-    None when a site is annihilated. Cached on the id pair; asked only on
-    the misses of _mul_mono, which share strings: all of criterion 8 asks
-    12,304 times for 2,743 pairs, the `replica` route of length 9 with
-    distinct names 12,130 times for 10,981."""
+    None when a site is annihilated. Cached on the id pair, since the
+    misses of _mul_mono, the only callers, share strings."""
     s, t = _STRINGS[i], _STRINGS[j]
     n = max(len(s[0]), len(t[0]))
     out = []
@@ -125,9 +122,8 @@ def _mul_string(i, j):
 @lru_cache(maxsize=16384)
 def _mul_mono(a, b):
     """The id of the product of the monomials of ids a and b, string by
-    string; None when it vanishes. Cached on the id pair: all of
-    criterion 8 asks 341,247 times for 6,546 pairs, the `replica` route
-    of length 9 223,506 times for 6,612."""
+    string; None when it vanishes. Cached on the id pair, since the
+    products of Reps ask for the same few pairs many times over."""
     a1, a2 = _MONOS[a]
     b1, b2 = _MONOS[b]
     s1 = _mul_string(a1, b1)
@@ -177,7 +173,7 @@ class Rep:
         if not a or not b:
             return REP_ZERO
         if len(a) == 1 and len(b) == 1:
-            # one monomial times one: 44% of the products in criterion 8
+            # one monomial times one, a common case, with no dict to fill
             (k, c), = a.items()
             (l, d), = b.items()
             m = _mul_mono(k, l)
@@ -717,8 +713,8 @@ def K_w_rep(w, args):
 @lru_cache(maxsize=256)
 def _split_plans(w):
     """The plans of the irreducible adapted partitions of the tuple word
-    w with more than one block. Cached: K_w asks for them at every level
-    of its recursion, and all of criterion 8 uses 38 distinct words."""
+    w with more than one block. Cached, since K_w asks for them at every
+    level of its recursion, on few distinct words."""
     return tuple(sp._plan(pi) for pi in ad.enumerate_adapted(w, 'irr')
                  if len(pi) > 1)
 

@@ -190,6 +190,21 @@ def test_replicas_moment_functionals(capsys, word, functional, expected):
     assert code == 0 and out == expected + '\n'
 
 
+@pytest.mark.parametrize('functional, message', [
+    ('psi:x', "unknown functional 'psi:x'"),
+    ('psi:', "unknown functional 'psi:'"),
+    ('psi:2x', "unknown functional 'psi:2x'"),
+    ('psi:-1', "unknown functional 'psi:-1'"),
+    ('psi:0', 'color must be >= 1'),
+])
+def test_replicas_moment_bad_psi_color(capsys, functional, message):
+    code, out, err = run(capsys, 'replicas', 'moment', '--word', '1221',
+                         '--labels', '1221', '--vars', 'a,b,c,d',
+                         '--functional', functional)
+    assert code == 1 and not out
+    assert err == f'error: {message}\n', err
+
+
 def test_replicas_moment_expectation_json(capsys):
     code, out, _ = run(capsys, 'replicas', 'moment', '--word', '121',
                        '--labels', '121', '--vars', 'a,b,a',

@@ -4,6 +4,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ncmotzkin import adapted as ad
 from ncmotzkin import partitions as sp
 
 CATALAN = [1, 1, 2, 5, 14, 42, 132, 429, 1430]
@@ -215,7 +216,7 @@ def test_generated_families_match_filters():
 
 # The growth of NC(n) and Int(n) from their members on [n-1], sorted at
 # each step, and NC_irr(n) from NC(n-1): the reference for the
-# first-block fold.
+# first-block fold and for the grammar of NC(w) at its two ends.
 
 def frozen_outer_blocks(pi):
     """Indices of the blocks of a noncrossing pi that no block encloses:
@@ -258,6 +259,7 @@ def test_generated_families_match_frozen_growth():
         assert sp.noncrossing_partitions(n) == \
             list(frozen_grown(n, frozen_outer_blocks)), n
         assert sp.irreducible_partitions(n) == frozen_irreducible(n), n
+    for n in range(1, 17):
         assert sp.interval_partitions(n) == \
             list(frozen_grown(n, frozen_last_block)), n
     # an interval's entry is NC of its length, shifted to its positions
@@ -267,6 +269,22 @@ def test_generated_families_match_frozen_growth():
                 tuple(tuple(x + lo - 1 for x in b) for b in pi)
                 for pi in frozen_grown(hi - lo + 1, frozen_outer_blocks))
     assert sp._nc(4, 3) == ((),)
+
+
+def test_adapted_grammar_ends_are_interval_and_noncrossing():
+    # Int(n) = NC(1^n); NC(n) = NC(h^n) and NC_irr(n) = NC_irr(h^n)
+    # exactly when h >= ceil(n/2), the deepest nesting of n positions
+    for n in range(1, 11):
+        assert ad.enumerate_adapted((1,) * n) == \
+            list(frozen_grown(n, frozen_last_block)), n
+        nc, irr = sp.noncrossing_partitions(n), frozen_irreducible(n)
+        low = (n + 1) // 2
+        for h in range(low, n + 1):
+            assert ad.enumerate_adapted((h,) * n) == nc, (n, h)
+            assert ad.enumerate_adapted((h,) * n, 'irr') == irr, (n, h)
+        if n >= 3:
+            assert ad.enumerate_adapted((low - 1,) * n) != nc, n
+            assert ad.enumerate_adapted((low - 1,) * n, 'irr') != irr, n
 
 
 def test_families_return_fresh_lists():
