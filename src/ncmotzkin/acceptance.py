@@ -1,8 +1,12 @@
 """Acceptance suite: eleven numbered correctness gates over the whole
-package, each returning pass/fail with a one-line detail. The 'quick'
-scale trims enumeration bounds for a fast smoke run; 'full' runs the
-complete desk-scale verification."""
+package. Each criterion is a list of named Check rows of one type, and
+one walker checks them all: it records each row's case count and
+seconds, and at the first failing case it names the row and the case
+with a one-line check_case reproducer. The 'quick' scale trims
+enumeration bounds for a fast smoke run; 'full' runs the complete
+desk-scale verification."""
 
+import functools
 import time
 from collections import namedtuple
 from fractions import Fraction
@@ -15,6 +19,32 @@ from . import cumulants as cm
 from . import replicas as rp
 from . import convolution as cv
 from .cumulants import Poly, ZERO, ONE, beta_sym, m_sym
+
+
+Check = namedtuple('Check', 'name cases holds tops', defaults=((0, 0),))
+Check.__doc__ = """One row of a criterion: holds(*case) is true for every
+case in cases(top), where top is tops[0] at full scale and tops[1] at
+quick scale. Row names are unique across CRITERIA."""
+
+
+def _fixed(name, holds):
+    return Check(name, lambda top: [()], holds)
+
+
+def _each(name, keys, holds):
+    return Check(name, lambda top: [(k,) for k in keys], holds)
+
+
+def _upto(name, holds, tops):
+    return Check(name, lambda top: [(n,) for n in range(1, top + 1)],
+                 holds, tops)
+
+
+def _words(name, holds, tops):
+    """holds(w) for every Motzkin word w of length at most top."""
+    return Check(name, lambda top: [(w,) for n in range(1, top + 1)
+                                    for w in wd.enumerate_words(n)],
+                 holds, tops)
 
 
 def _catalan(n):
@@ -44,23 +74,18 @@ def _replicas(w, ell, stem='v'):
 
 # ---------------------------------------------------------------- 1
 
-def crit_counting(scale):
-    motzkin = [1, 1, 2, 4, 9, 21, 51, 127]
-    nmax = 8 if scale == 'full' else 6
-    pmax = 9 if scale == 'full' else 7
-    for n in range(1, nmax + 1):
-        if len(wd.enumerate_words(n)) != motzkin[n - 1]:
-            return False, f'|M_{n}| != {motzkin[n - 1]}'
-        if wd.motzkin_number(n - 1) != motzkin[n - 1]:
-            return False, f'recurrence mismatch at {n}'
-    for n in range(1, pmax + 1):
-        if len(sp.noncrossing_partitions(n)) != _catalan(n):
-            return False, f'|NC({n})| != Catalan({n})'
-        if len(sp.interval_partitions(n)) != 2 ** (n - 1):
-            return False, f'|Int({n})| != 2^{n - 1}'
-        if len(sp.irreducible_partitions(n)) != _catalan(n - 1):
-            return False, f'|NC_irr({n})| != Catalan({n - 1})'
-    return True, f'words to n={nmax}, partitions to n={pmax}'
+MOTZKIN = [1, 1, 2, 4, 9, 21, 51, 127]
+
+COUNTING = [
+    _upto('motzkin-words', lambda n: len(wd.enumerate_words(n))
+          == wd.motzkin_number(n - 1) == MOTZKIN[n - 1], (8, 6)),
+    _upto('noncrossing', lambda n: len(sp.noncrossing_partitions(n))
+          == _catalan(n), (9, 7)),
+    _upto('interval', lambda n: len(sp.interval_partitions(n))
+          == 2 ** (n - 1), (9, 7)),
+    _upto('irreducible', lambda n: len(sp.irreducible_partitions(n))
+          == _catalan(n - 1), (9, 7)),
+]
 
 
 # ---------------------------------------------------------------- 2
@@ -101,20 +126,21 @@ FIG1_EDGES = [
 ]
 
 
-def crit_fig1(scale):
+def _fig1_split():
+    """Five irreducible vertices, and five that split off the first letter."""
     verts = ad.enumerate_adapted(FIG1_WORD, 'all')
-    if sorted(verts) != sorted(FIG1_VERTICES):
-        return False, 'vertex set mismatch'
-    edges = ad.hasse_adapted(FIG1_WORD)
-    if sorted(edges) != sorted(FIG1_EDGES):
-        return False, 'cover relations mismatch'
-    irr = [v for v in verts if sp.is_irreducible(v)]
     rest = [v for v in verts if not sp.is_irreducible(v)]
-    if len(irr) != 5 or len(rest) != 5:
-        return False, 'split is not 5 + 5'
-    if not all((1,) in v for v in rest):
-        return False, 'reducible part does not split off the first letter'
-    return True, '10 vertices, 17 cover edges, split 5 + 5'
+    return (len(verts) - len(rest) == len(rest) == 5
+            and all((1,) in v for v in rest))
+
+
+FIG1 = [
+    _fixed('fig1-vertices', lambda: sorted(
+        ad.enumerate_adapted(FIG1_WORD, 'all')) == sorted(FIG1_VERTICES)),
+    _fixed('fig1-covers', lambda: sorted(ad.hasse_adapted(FIG1_WORD))
+           == sorted(FIG1_EDGES)),
+    _fixed('fig1-split', _fig1_split),
+]
 
 
 # ---------------------------------------------------------------- 3
@@ -149,79 +175,86 @@ EX34_MONOTONE = [
 ]
 
 
-def crit_fig3(scale):
-    for w, count in FIG3_COUNTS.items():
-        if len(ad.enumerate_adapted(w, 'irr')) != count:
-            return False, f'count mismatch at {wd.format_word(w)}'
-    if ad.enumerate_adapted((1, 2, 2, 2, 1), 'irr') != FIG3_12221:
-        return False, 'the 13 diagrams of 12221 do not match'
-    if ad.enumerate_adapted((1, 2, 2, 2, 1), 'monotone_irr') != EX34_MONOTONE:
-        return False, 'monotone subset of 12221 does not match'
-    return True, 'all nine rows of the irreducible table match'
+FIG3 = [
+    _each('fig3-counts', FIG3_COUNTS, lambda w: len(
+        ad.enumerate_adapted(w, 'irr')) == FIG3_COUNTS[w]),
+    _fixed('fig3-12221', lambda: ad.enumerate_adapted(
+        (1, 2, 2, 2, 1), 'irr') == FIG3_12221),
+    _fixed('ex34-monotone', lambda: ad.enumerate_adapted(
+        (1, 2, 2, 2, 1), 'monotone_irr') == EX34_MONOTONE),
+]
 
 
 # ---------------------------------------------------------------- 4
 
-def crit_lattice(scale):
-    nclos = 7 if scale == 'full' else 5
-    njoin = 6 if scale == 'full' else 4
-    for n in range(1, nclos + 1):
-        for w in wd.enumerate_words(n):
-            if ad.coarsening_closure(w) != ad.enumerate_adapted(w, 'all'):
-                return False, f'closure != filter at {wd.format_word(w)}'
-    for n in range(1, njoin + 1):
-        for w in wd.enumerate_words(n):
-            verts = ad.enumerate_adapted(w, 'all')
-            # each vertex's up-set as an int bitset over the indices, so
-            # upper bounds are an AND and leastness a subset test
-            up = [sum(1 << i for i, v in enumerate(verts) if sp.refines(u, v))
-                  for u in verts]
-            index = {v: i for i, v in enumerate(verts)}
-            for a, up_a in zip(verts, up):
-                for b, up_b in zip(verts, up):
-                    uppers = up_a & up_b
-                    j = index.get(ad.join_adapted(a, w, b, w))
-                    if j is None or not uppers >> j & 1:
-                        return False, f'join not an upper bound at {w}'
-                    if uppers & ~up[j]:
-                        return False, f'join not least at {w}'
-    return True, f'closure to n={nclos}, join to n={njoin}'
+def _join_is_least(w):
+    verts = ad.enumerate_adapted(w, 'all')
+    # each vertex's up-set as an int bitset over the indices, so
+    # upper bounds are an AND and leastness a subset test
+    up = [sum(1 << i for i, v in enumerate(verts) if sp.refines(u, v))
+          for u in verts]
+    index = {v: i for i, v in enumerate(verts)}
+    for a, up_a in zip(verts, up):
+        for b, up_b in zip(verts, up):
+            uppers = up_a & up_b
+            j = index.get(ad.join_adapted(a, w, b, w))
+            if j is None or not uppers >> j & 1 or uppers & ~up[j]:
+                return False
+    return True
+
+
+LATTICE = [
+    _words('closure', lambda w: ad.coarsening_closure(w)
+           == ad.enumerate_adapted(w, 'all'), (7, 5)),
+    _words('join', _join_is_least, (6, 4)),
+]
 
 
 # ---------------------------------------------------------------- 5
 
-def crit_transforms(scale):
-    x = ('x',) * 4
-    # order-4 free cumulant in moments, univariate
+def _ex21_free():
+    """The univariate order-4 free cumulant in moments."""
     m = {k: Poly.symbol('m', 0, ('x',) * k) for k in range(1, 5)}
-    ex21 = (m[4] - 4 * m[3] * m[1] - 2 * m[2] * m[2]
-            + 10 * m[2] * m[1] * m[1]
-            - 5 * m[1] * m[1] * m[1] * m[1])
-    if cm.transform('m', 'r', 0, x) != ex21:
-        return False, 'univariate order-4 free cumulant mismatch'
+    return cm.transform('m', 'r', 0, ('x',) * 4) == (
+        m[4] - 4 * m[3] * m[1] - 2 * m[2] * m[2] + 10 * m[2] * m[1] * m[1]
+        - 5 * m[1] * m[1] * m[1] * m[1])
+
+
+def _ex21_boolean():
     b = {k: beta_sym(0, ('x',) * k) for k in range(1, 5)}
-    ex21b = b[4] - 2 * b[3] * b[1] - b[2] * b[2] + b[2] * b[1] * b[1]
-    if cm.transform('beta', 'r', 0, x) != ex21b:
-        return False, 'univariate order-4 Boolean expansion mismatch'
+    return cm.transform('beta', 'r', 0, ('x',) * 4) == (
+        b[4] - 2 * b[3] * b[1] - b[2] * b[2] + b[2] * b[1] * b[1])
+
+
+def _ex22_multivariate():
     a = _vars(4)
     def bb(*idx):
         return beta_sym(0, tuple(a[i - 1] for i in idx))
-    ex22 = (bb(1, 2, 3, 4) - bb(1, 2, 4) * bb(3) - bb(1, 3, 4) * bb(2)
-            - bb(1, 4) * bb(2, 3) + bb(1, 4) * bb(2) * bb(3))
-    if cm.transform('beta', 'r', 0, a) != ex22:
-        return False, 'multivariate order-4 expansion mismatch'
-    nuni = 8 if scale == 'full' else 6
-    nmulti = 6 if scale == 'full' else 4
-    pairs = [('m', 'r'), ('m', 'beta'), ('r', 'beta')]
-    for n in range(1, nuni + 1):
-        for args in [('x',) * n] + ([_vars(n)] if n <= nmulti else []):
-            for src, dst in pairs:
-                fwd = cm.transform(src, dst, 0, args)
-                back = cm.expand_symbols(
-                    fwd, lambda s: cm.transform(dst, s[0], s[1], s[2]))
-                if back != Poly.symbol(dst, 0, args):
-                    return False, f'round trip {src}->{dst} fails at n={n}'
-    return True, f'round trips to n={nuni} univariate, n={nmulti} multivariate'
+    return cm.transform('beta', 'r', 0, a) == (
+        bb(1, 2, 3, 4) - bb(1, 2, 4) * bb(3) - bb(1, 3, 4) * bb(2)
+        - bb(1, 4) * bb(2, 3) + bb(1, 4) * bb(2) * bb(3))
+
+
+def _round_trips(top):
+    """Univariate arguments to n = top, distinct ones to n = top - 2."""
+    return [(args, src, dst) for n in range(1, top + 1)
+            for args in [('x',) * n] + ([_vars(n)] if n <= top - 2 else [])
+            for src, dst in (('m', 'r'), ('m', 'beta'), ('r', 'beta'))]
+
+
+def _round_trip(args, src, dst):
+    fwd = cm.transform(src, dst, 0, args)
+    back = cm.expand_symbols(
+        fwd, lambda s: cm.transform(dst, s[0], s[1], s[2]))
+    return back == Poly.symbol(dst, 0, args)
+
+
+TRANSFORMS = [
+    _fixed('ex21-free', _ex21_free),
+    _fixed('ex21-boolean', _ex21_boolean),
+    _fixed('ex22-multivariate', _ex22_multivariate),
+    Check('round-trips', _round_trips, _round_trip, (8, 6)),
+]
 
 
 # ---------------------------------------------------------------- 6
@@ -248,29 +281,28 @@ FIG4_PIECES = {
 }
 
 
-def crit_decomposition(scale):
-    for table in (EX102_PIECES, FIG4_PIECES):
-        n = len(next(iter(table)))
-        args = [('x', 0)] * n
-        x = ('x',) * n
-        for w, pieces in table.items():
-            expected = ZERO
-            for sign, pi in pieces:
-                expected = expected + Fraction(sign) * _beta_pi(pi, x)
-            if cm.motzkin_k(w, args) != expected:
-                return False, f'piece mismatch at {wd.format_word(w)}'
-    nmax = 7 if scale == 'full' else 5
-    for n in range(1, nmax + 1):
-        for args in (('x',) * n, _vars(n)):
-            total = ZERO
-            for w in wd.enumerate_words(n):
-                total = total + cm.motzkin_k(w, [(v, 0) for v in args])
-            if total != cm.free_in_boolean(0, args):
-                return False, f'sum of pieces != free cumulant at n={n}'
-        terms = sum(cm.motzkin_k_terms(w) for w in wd.enumerate_words(n))
-        if terms != _catalan(n - 1):
-            return False, f'term count != Catalan({n - 1}) at n={n}'
-    return True, f'pieces fixed at n=4,5; totals to n={nmax}'
+def _pieces(w):
+    x = ('x',) * len(w)
+    return cm.motzkin_k(w, [('x', 0)] * len(w)) == sum(
+        (Fraction(sign) * _beta_pi(pi, x)
+         for sign, pi in {**EX102_PIECES, **FIG4_PIECES}[w]), ZERO)
+
+
+def _pieces_total(args):
+    return sum((cm.motzkin_k(w, [(v, 0) for v in args])
+                for w in wd.enumerate_words(len(args))), ZERO) \
+        == cm.free_in_boolean(0, args)
+
+
+DECOMPOSITION = [
+    _each('pieces', [*EX102_PIECES, *FIG4_PIECES], _pieces),
+    Check('piece-totals', lambda top: [
+        (args,) for n in range(1, top + 1) for args in (('x',) * n, _vars(n))],
+        _pieces_total, (7, 5)),
+    _upto('term-counts', lambda n: sum(
+        cm.motzkin_k_terms(w) for w in wd.enumerate_words(n))
+        == _catalan(n - 1), (7, 5)),
+]
 
 
 # ---------------------------------------------------------------- 7
@@ -289,26 +321,24 @@ EX42_RENDERINGS = {
 }
 
 
-def crit_expansions(scale):
-    got = [(s, t) for _pi, s, t in cm.B_inversion((1, 2, 2, 1))]
-    if got != [(1, 'E(a1a2a3a4)')]:
-        return False, 'B inversion of 1221 mismatch'
-    got = sorted((s, t) for _pi, s, t in cm.B_inversion((1, 2, 1, 1)))
-    if got != [(-1, 'E(a1a2a3)E(a4)'), (1, 'E(a1a2a3a4)')]:
-        return False, 'B inversion of 1211 mismatch'
-    for w, expected in EX42_RENDERINGS.items():
-        got = sorted(((s, t) for _pi, s, t in cm.K_closed_form(w)),
-                     key=lambda e: (-len(e[1]), e[1]))
-        if sorted(got) != sorted(expected):
-            return False, f'K closed form mismatch at {wd.format_word(w)}'
-    c1 = cm.refinement_coefficient(
-        [(1, 2, 4, 5), (3,)], [(1, 5), (2, 4), (3,)], (1, 2, 3, 2, 1))
-    c2 = cm.refinement_coefficient(
-        [(1, 2, 5), (3,), (4,)], [(1, 5), (2,), (3,), (4,)],
-        (1, 2, 2, 2, 1))
-    if (c1, c2) != (-1, -1):
-        return False, f'refinement coefficients {(c1, c2)} != (-1, -1)'
-    return True, 'inversions, closed forms and refinements fixed'
+def _rendered(expansion, w):
+    return sorted((s, t) for _pi, s, t in expansion(w))
+
+
+EXPANSIONS = [
+    _fixed('B-inversion-1221', lambda: _rendered(
+        cm.B_inversion, (1, 2, 2, 1)) == [(1, 'E(a1a2a3a4)')]),
+    _fixed('B-inversion-1211', lambda: _rendered(
+        cm.B_inversion, (1, 2, 1, 1))
+        == [(-1, 'E(a1a2a3)E(a4)'), (1, 'E(a1a2a3a4)')]),
+    _each('K-closed-forms', EX42_RENDERINGS, lambda w: _rendered(
+        cm.K_closed_form, w) == sorted(EX42_RENDERINGS[w])),
+    Check('refinement-coefficients', lambda top: [
+        ([(1, 2, 4, 5), (3,)], [(1, 5), (2, 4), (3,)], (1, 2, 3, 2, 1)),
+        ([(1, 2, 5), (3,), (4,)], [(1, 5), (2,), (3,), (4,)],
+         (1, 2, 2, 2, 1))],
+        lambda pi, sigma, w: cm.refinement_coefficient(pi, sigma, w) == -1),
+]
 
 
 # ---------------------------------------------------------------- 8
@@ -317,84 +347,56 @@ def _bh(label, *names):
     return rp.beta_hat(label, names)
 
 
-def _check_examples_replicas():
-    for j in (1, 2, 3):
-        for label in (1, 2):
-            a = rp.replica('a', label, j)
-            if rp.expectation(a) != rp.BElement({j: m_sym(label, ('a',))}):
-                return f'E(a({j})) mismatch'
-    x = rp.replica('a', 1, 2) * rp.replica('b', 2, 2)
-    if rp.expectation(x) != rp.BElement(
-            {2: m_sym(1, ('a',)) * m_sym(2, ('b',))}):
-        return 'mixed-label same-color moment mismatch'
-    x = rp.replica('a', 1, 1) * rp.replica('b', 2, 2)
-    if not rp.expectation(x).is_zero():
-        return 'different-color product moment should vanish'
-    for i in (1, 2):
-        for n in (1, 2, 3):
-            if rp.expectation(rp.e_label(i, n)) != rp.BElement(
-                    {k: 1 for k in range(1, n + 1)}):
-                return f'E(e_{i},{n}) mismatch'
-            if rp.expectation(rp.p_proj(n)) != rp.BElement({n: 1}):
-                return f'E(p_{n}) mismatch'
-    for j, j1 in iproduct((1, 2, 3), repeat=2):
-        for f in (rp.B_w_rep, rp.K_w_rep):
-            if f((j1,), [rp.p_proj(j)]) != rp.BElement({j: 1}):
-                return f'order-one {f.__name__[0]} of a projection mismatch'
-
-    def B(w, labels):
-        return rp.B_w_rep(w, _replicas(w, labels, 'x'))
-
-    def K(w, labels):
-        return rp.K_w_rep(w, _replicas(w, labels, 'x'))
-
-    if B((1, 2, 1), (1, 2, 1)) != rp.BElement(
-            {1: _bh(1, 'x1', 'x3') * _bh(2, 'x2')}):
-        return 'B_121 example mismatch'
-    if B((1, 2, 2, 1), (1, 2, 2, 1)) != rp.BElement(
-            {1: _bh(1, 'x1', 'x4')
-             * (_bh(2, 'x2', 'x3') + _bh(2, 'x2') * _bh(2, 'x3'))}):
-        return 'B_1221 example mismatch'
-    if B((1, 1, 2, 1), (1, 1, 2, 1)) != rp.BElement(
-            {1: _bh(1, 'x1', 'x2', 'x4') * _bh(2, 'x3')}):
-        return 'B_1121 example mismatch'
-    if B((1, 2, 3, 2, 1), (1, 2, 1, 2, 1)) != rp.BElement(
-            {1: _bh(1, 'x1', 'x5') * _bh(2, 'x2', 'x4') * _bh(1, 'x3')}):
-        return 'B_12321 example mismatch'
-    if K((1, 2, 1), (1, 1, 1)) != rp.BElement(
-            {1: -1 * (_bh(1, 'x2') * _bh(1, 'x1', 'x3'))}):
-        return 'K_121 example mismatch'
-    if K((1, 2, 2, 1), (1, 1, 1, 1)) != rp.BElement(
-            {1: _bh(1, 'x1', 'x4')
-             * (_bh(1, 'x2') * _bh(1, 'x3') - _bh(1, 'x2', 'x3'))}):
-        return 'K_1221 example mismatch'
-    if not K((1, 1, 2, 2, 1), (1, 1, 2, 2, 1)).is_zero():
-        return 'mixed-label K_11221 should vanish'
-    if not K((1, 1, 2, 2, 1), (1, 1, 2, 1, 1)).is_zero():
-        return 'mixed-label K_11221 variant should vanish'
-    if B((1, 1, 2, 2, 1), (1, 1, 2, 2, 1)) != rp.BElement(
-            {1: _bh(1, 'x1', 'x2', 'x5')
-             * (_bh(2, 'x3', 'x4') + _bh(2, 'x3') * _bh(2, 'x4'))}):
-        return 'B_11221 example mismatch'
-    if not B((1, 1, 2, 2, 1), (1, 1, 2, 1, 1)).is_zero():
-        return 'B_11221 with labels 11211 should vanish'
-    # same-label replicas on 121: the moment vanishes, the cumulant does not
-    args = _replicas((1, 2, 1), (1, 1, 1), 'x')
-    if not rp.expectation(rp.rep_product(args)).is_zero():
-        return 'same-label 121 moment should vanish'
-    if rp.K_w_rep((1, 2, 1), args) != rp.BElement(
-            {1: -1 * (_bh(1, 'x1', 'x3') * _bh(1, 'x2'))}):
-        return 'same-label K_121 mismatch'
-    return None
+_REP = {'B': rp.B_w_rep, 'K': rp.K_w_rep}
 
 
-Lemma = namedtuple('Lemma', 'name lo cases sides tops', defaults=((5, 4),))
-Lemma.__doc__ = """One lemma of criterion 8 on the replicas a_i = v_i(w_i)
-with label ell_i, for w in _am_words(n) and every labeling ell: for each
-case in cases(w, ell, top), sides(w, ell, aa, *case) gives two sides that
-must be equal, aa being the _Args of (w, ell). The row runs for
-lo <= n <= top, where top is tops[0] at full scale and tops[1] at quick
-scale."""
+def _rep_examples():
+    """The level-1 part of f(w, x-replicas labeled ell) for each key
+    (f, w, ell); every other part is zero."""
+    return {
+        ('B', (1, 2, 1), (1, 2, 1)): _bh(1, 'x1', 'x3') * _bh(2, 'x2'),
+        ('B', (1, 2, 2, 1), (1, 2, 2, 1)): _bh(1, 'x1', 'x4')
+        * (_bh(2, 'x2', 'x3') + _bh(2, 'x2') * _bh(2, 'x3')),
+        ('B', (1, 1, 2, 1), (1, 1, 2, 1)):
+        _bh(1, 'x1', 'x2', 'x4') * _bh(2, 'x3'),
+        ('B', (1, 2, 3, 2, 1), (1, 2, 1, 2, 1)):
+        _bh(1, 'x1', 'x5') * _bh(2, 'x2', 'x4') * _bh(1, 'x3'),
+        ('K', (1, 2, 1), (1, 1, 1)): -1 * (_bh(1, 'x2') * _bh(1, 'x1', 'x3')),
+        ('K', (1, 2, 2, 1), (1, 1, 1, 1)): _bh(1, 'x1', 'x4')
+        * (_bh(1, 'x2') * _bh(1, 'x3') - _bh(1, 'x2', 'x3')),
+        ('K', (1, 1, 2, 2, 1), (1, 1, 2, 2, 1)): ZERO,
+        ('K', (1, 1, 2, 2, 1), (1, 1, 2, 1, 1)): ZERO,
+        ('B', (1, 1, 2, 2, 1), (1, 1, 2, 2, 1)): _bh(1, 'x1', 'x2', 'x5')
+        * (_bh(2, 'x3', 'x4') + _bh(2, 'x3') * _bh(2, 'x4')),
+        ('B', (1, 1, 2, 2, 1), (1, 1, 2, 1, 1)): ZERO,
+    }
+
+
+REPLICA_EXAMPLES = [
+    Check('E-replica', lambda top: list(iproduct((1, 2, 3), (1, 2))),
+          lambda j, label: rp.expectation(rp.replica('a', label, j))
+          == rp.BElement({j: m_sym(label, ('a',))})),
+    _fixed('E-same-color', lambda: rp.expectation(
+        rp.replica('a', 1, 2) * rp.replica('b', 2, 2))
+        == rp.BElement({2: m_sym(1, ('a',)) * m_sym(2, ('b',))})),
+    _fixed('E-different-colors', lambda: rp.expectation(
+        rp.replica('a', 1, 1) * rp.replica('b', 2, 2)).is_zero()),
+    Check('E-label-sum', lambda top: list(iproduct((1, 2), (1, 2, 3))),
+          lambda i, n: rp.expectation(rp.e_label(i, n))
+          == rp.BElement({k: 1 for k in range(1, n + 1)})),
+    _each('E-projection', (1, 2, 3), lambda n: rp.expectation(rp.p_proj(n))
+          == rp.BElement({n: 1})),
+    Check('order-one-projection',
+          lambda top: list(iproduct((1, 2, 3), (1, 2, 3), 'BK')),
+          lambda j, j1, f: _REP[f]((j1,), [rp.p_proj(j)])
+          == rp.BElement({j: 1})),
+    Check('B-K-examples', lambda top: list(_rep_examples()),
+          lambda f, w, ell: _REP[f](w, _replicas(w, ell, 'x'))
+          == rp.BElement({1: _rep_examples()[f, w, ell]})),
+    # same-label replicas on 121: the moment vanishes, the cumulant not
+    _fixed('same-label-121-moment', lambda: _E(
+        _replicas((1, 2, 1), (1, 1, 1), 'x')).is_zero()),
+]
 
 
 def _E(args):
@@ -424,6 +426,26 @@ class _Args(list):
         if key not in self.memo:
             self.memo[key] = f(self.w, self.variant(key[1]))
         return self.memo[key]
+
+
+# one _Args per (w, ell), shared by every row that visits it
+_args = functools.cache(_Args)
+
+
+def _lemma(name, lo, cases, sides, tops=(5, 4)):
+    """A row of criterion 8 on the replicas a_i = v_i(w_i) with label
+    ell_i, for w in _am_words(n), lo <= n <= top, and every labeling ell:
+    for each case in cases(w, ell, top), sides(w, ell, aa, *case) gives two
+    sides that must be equal, aa being the _Args of (w, ell)."""
+    def all_cases(top):
+        return [(w, ell) + case for n in range(lo, top + 1)
+                for w in _am_words(n) for ell in iproduct((1, 2), repeat=n)
+                for case in cases(w, ell, top)]
+
+    def holds(w, ell, *case):
+        lhs, rhs = sides(w, ell, _args(w, ell), *case)
+        return lhs == rhs
+    return Check(name, all_cases, holds, tops)
 
 
 def _at(aa, k, x):
@@ -531,7 +553,7 @@ def _standalone(name, f, at_height):
     def sides(w, ell, aa, k, j):
         return (f(w[:k] + (j,) + w[k:], _ins(aa, k, rp.p_proj(j))),
                 rp.B_ZERO)
-    return Lemma(name, 2, cases, sides, (4, 3))
+    return _lemma(name, 2, cases, sides, (4, 3))
 
 
 def _projected(name, f, proj, same):
@@ -551,65 +573,65 @@ def _projected(name, f, proj, same):
         v = aa.variant(bs)
         lhs = f(w, _at(v, k, v[k] * rp.p_proj(proj(w, ell, k, w[0]))))
         return lhs, aa.plain(f, bs) if same else rp.B_ZERO
-    return Lemma(name, 2, cases, sides)
+    return _lemma(name, 2, cases, sides)
 
 
 LEMMAS = [
-    Lemma('constant-moment', 1, _constant,
-          lambda w, ell, aa: (aa.plain(_moment), rp.BElement(
-              {w[0]: m_sym(ell[0], _vars(len(w), 'v'))}))),
-    Lemma('constant-separated', 1, _constant,
-          lambda w, ell, aa: (
-              _E([x for a in aa for x in (rp.p_proj(w[0] + 1), a)][1:]),
-              rp.BElement({w[0]: rp.beta_hat(ell[0], _vars(len(w), 'v'))}))),
-    Lemma('constant-alternating', 2,
-          lambda w, ell, top: [()] if _flat(w) and ell[0] == 1
-          and _alternating(ell) else [],
-          _factorized),
-    Lemma('factorization', 2,
-          lambda w, ell, top: [(k, b) for k in range(1, len(w))
-                               if w[k - 1] == w[0]
-                               for b in (0, w[0], w[0] + 1)],
-          _factorization),
-    Lemma('local-maximum', 1, _local_maxima,
-          lambda w, ell, aa, k: (aa.plain(_moment), _E(
-              _at(aa, k, rp.p_proj(w[k]))) * m_sym(ell[k], (f'v{k + 1}',)))),
-    Lemma('same-label-insertion', 2,
-          lambda w, ell, top: [(k,) for k in range(len(w) - 1)
-                               if ell[k] == ell[k + 1] and w[k] == w[k + 1]
-                               and _labeled_ok(w, ell)],
-          lambda w, ell, aa, k: (
-              _E(_ins(aa, k + 1, rp.p_proj(w[k] + 1))),
-              _E(_ins(aa, k + 1, rp.REP_ONE - rp.p_proj(w[k]))))),
-    Lemma('step-insertion', 2,
-          lambda w, ell, top: [(k,) for k in range(len(w) - 1)
-                               if ell[k] != ell[k + 1]
-                               and abs(w[k] - w[k + 1]) == 1
-                               and _labeled_ok(w, ell)],
-          lambda w, ell, aa, k: (
-              _E(_ins(aa, k + 1, rp.p_proj(max(w[k], w[k + 1])))),
-              aa.plain(_moment))),
-    Lemma('nesting', 3, _nests, _nesting),
-    Lemma('pair-deletion', 2,
-          lambda w, ell, top: [(k,) for k in range(len(w))
-                               if _flat(w) and _alternating(ell)],
-          lambda w, ell, aa, k: (
-              _E(_at(aa, k, aa[k] + rp.replica(f'v{k + 1}', ell[k],
-                                               w[k] + 1))),
-              _E(aa[:k] + aa[k + 1:]) * _E([aa[k]]))),
+    _lemma('constant-moment', 1, _constant,
+           lambda w, ell, aa: (aa.plain(_moment), rp.BElement(
+               {w[0]: m_sym(ell[0], _vars(len(w), 'v'))}))),
+    _lemma('constant-separated', 1, _constant,
+           lambda w, ell, aa: (
+               _E([x for a in aa for x in (rp.p_proj(w[0] + 1), a)][1:]),
+               rp.BElement({w[0]: rp.beta_hat(ell[0], _vars(len(w), 'v'))}))),
+    _lemma('constant-alternating', 2,
+           lambda w, ell, top: [()] if _flat(w) and ell[0] == 1
+           and _alternating(ell) else [],
+           _factorized),
+    _lemma('factorization', 2,
+           lambda w, ell, top: [(k, b) for k in range(1, len(w))
+                                if w[k - 1] == w[0]
+                                for b in (0, w[0], w[0] + 1)],
+           _factorization),
+    _lemma('local-maximum', 1, _local_maxima,
+           lambda w, ell, aa, k: (aa.plain(_moment), _E(
+               _at(aa, k, rp.p_proj(w[k]))) * m_sym(ell[k], (f'v{k + 1}',)))),
+    _lemma('same-label-insertion', 2,
+           lambda w, ell, top: [(k,) for k in range(len(w) - 1)
+                                if ell[k] == ell[k + 1] and w[k] == w[k + 1]
+                                and _labeled_ok(w, ell)],
+           lambda w, ell, aa, k: (
+               _E(_ins(aa, k + 1, rp.p_proj(w[k] + 1))),
+               _E(_ins(aa, k + 1, rp.REP_ONE - rp.p_proj(w[k]))))),
+    _lemma('step-insertion', 2,
+           lambda w, ell, top: [(k,) for k in range(len(w) - 1)
+                                if ell[k] != ell[k + 1]
+                                and abs(w[k] - w[k + 1]) == 1
+                                and _labeled_ok(w, ell)],
+           lambda w, ell, aa, k: (
+               _E(_ins(aa, k + 1, rp.p_proj(max(w[k], w[k + 1])))),
+               aa.plain(_moment))),
+    _lemma('nesting', 3, _nests, _nesting),
+    _lemma('pair-deletion', 2,
+           lambda w, ell, top: [(k,) for k in range(len(w))
+                                if _flat(w) and _alternating(ell)],
+           lambda w, ell, aa, k: (
+               _E(_at(aa, k, aa[k] + rp.replica(f'v{k + 1}', ell[k],
+                                                w[k] + 1))),
+               _E(aa[:k] + aa[k + 1:]) * _E([aa[k]]))),
     _standalone('K-standalone-p', rp.K_w_rep, False),
     _standalone('B-standalone-p', rp.B_w_rep, True),
-    Lemma('additivity', 1,
-          lambda w, ell, top: [()] if w[0] == 1 and set(ell) == {1} else [],
-          _additivity, (4, 4)),
-    Lemma('B-closed-form', 1, _every,
-          lambda w, ell, aa: (aa.plain(rp.B_w_rep), rp.B_closed_form(
-              w, _vars(len(w), 'v'), ell))),
-    Lemma('K-closed-form', 1, _every,
-          lambda w, ell, aa: (aa.plain(rp.K_w_rep), rp.K_closed_form_rep(
-              w, _vars(len(w), 'v'), ell))),
-    Lemma('K-inversion', 1, _every,
-          lambda w, ell, aa: (aa.plain(rp.K_w_rep), rp.K_closed_rep(w, aa))),
+    _lemma('additivity', 1,
+           lambda w, ell, top: [()] if w[0] == 1 and set(ell) == {1} else [],
+           _additivity, (4, 4)),
+    _lemma('B-closed-form', 1, _every,
+           lambda w, ell, aa: (aa.plain(rp.B_w_rep), rp.B_closed_form(
+               w, _vars(len(w), 'v'), ell))),
+    _lemma('K-closed-form', 1, _every,
+           lambda w, ell, aa: (aa.plain(rp.K_w_rep), rp.K_closed_form_rep(
+               w, _vars(len(w), 'v'), ell))),
+    _lemma('K-inversion', 1, _every,
+           lambda w, ell, aa: (aa.plain(rp.K_w_rep), rp.K_closed_rep(w, aa))),
     _projected('B-middle-projection', rp.B_w_rep,
                lambda w, ell, k, j: j, False),
     _projected('K-middle-projection', rp.K_w_rep,
@@ -630,123 +652,58 @@ LEMMAS = [
 ]
 
 
-def _walk(rows):
-    """Walk every (w, ell) once for the (lemma, top) pairs in rows, with
-    one _Args per (w, ell). Returns each row's case count and seconds,
-    and (name, w, ell, *case) of the first failing case, or None."""
-    counts, secs = [0] * len(rows), [0.0] * len(rows)
-    for n in range(1, max(top for _row, top in rows) + 1):
-        for w in _am_words(n):
-            for ell in iproduct((1, 2), repeat=n):
-                aa = _Args(w, ell)
-                for i, (row, top) in enumerate(rows):
-                    if not row.lo <= n <= top:
-                        continue
-                    t0 = time.perf_counter()
-                    for case in row.cases(w, ell, top):
-                        counts[i] += 1
-                        lhs, rhs = row.sides(w, ell, aa, *case)
-                        if lhs != rhs:
-                            return counts, secs, (row.name, w, ell) + case
-                    secs[i] += time.perf_counter() - t0
-    return counts, secs, None
-
-
-def check_case(name, w, ell, *case):
-    """Whether the named row of LEMMAS holds on one case; criterion 8
-    prints this call for its first failing case."""
-    row = {r.name: r for r in LEMMAS}[name]
-    lhs, rhs = row.sides(w, ell, _Args(w, ell), *case)
-    return lhs == rhs
-
-
-def _reproduce(what, call):
-    return False, (f'{what}; reproduce with python -c "from ncmotzkin '
-                   f'import acceptance as a; print(a.{call})"')
-
-
-def crit_replicas(scale):
-    """The fixed examples, then every row of LEMMAS in one walk. The
-    detail gives each row's case count and seconds (a plain value that
-    rows share is timed in the first row that asks for it), or names the
-    first failing case with a one-line reproducer."""
-    t0 = time.perf_counter()
-    err = _check_examples_replicas()
-    if err:
-        return _reproduce(f'examples fail: {err}',
-                          '_check_examples_replicas()')
-    t = time.perf_counter() - t0
-    rows = [(row, row.tops[scale != 'full']) for row in LEMMAS]
-    counts, secs, failed = _walk(rows)
-    if failed:
-        return _reproduce(
-            f'{failed[0]} fails at {", ".join(map(repr, failed[1:]))}',
-            f'check_case({", ".join(map(repr, failed))})')
-    table = ', '.join(f'{row.name} {count} {sec:.2f}s' for (row, _top),
-                      count, sec in zip(rows, counts, secs))
-    return True, f'examples fixed {t:.2f}s; {sum(counts)} lemma cases: {table}'
-
-
 # ---------------------------------------------------------------- 9
 
-def crit_free_moments(scale):
-    nmax = 6 if scale == 'full' else 5
-    for n in range(1, nmax + 1):
-        names = _vars(n)
-        ell = tuple(1 + (i % 2) for i in range(n))
-        total = ZERO
-        for w in wd.enumerate_words(n):
-            x = rp.replica_word(names, ell, w)
-            total = total + rp.zeta_E(x)
-        if total != cv.free_product_sym(list(zip(names, ell))):
-            return False, f'replica sum != free oracle at n={n}'
-    numax = 5 if scale == 'full' else 4
-    for n in range(2, numax + 1):
-        for k in range(n):
-            args = [('x', 0)] * n
-            args[k] = (cm.UNIT, 0)
-            total = ZERO
-            for w in wd.enumerate_words(n):
-                total = total + cm.motzkin_k(w, args)
-            if not total.is_zero():
-                return False, f'unit argument sum nonzero at n={n}, k={k}'
-    return True, f'free moments to n={nmax}, unit vanishing to n={numax}'
+def _free_moments(n):
+    names = _vars(n)
+    ell = tuple(1 + (i % 2) for i in range(n))
+    return sum((rp.zeta_E(rp.replica_word(names, ell, w))
+                for w in wd.enumerate_words(n)), ZERO) \
+        == cv.free_product_sym(list(zip(names, ell)))
+
+
+def _unit_vanishes(n, k):
+    args = [('x', 0)] * n
+    args[k] = (cm.UNIT, 0)
+    return sum((cm.motzkin_k(w, args) for w in wd.enumerate_words(n)),
+               ZERO).is_zero()
+
+
+FREE_MOMENTS = [
+    _upto('free-moments', _free_moments, (6, 5)),
+    Check('unit-vanishing', lambda top: [
+        (n, k) for n in range(2, top + 1) for k in range(n)],
+        _unit_vanishes, (5, 4)),
+]
 
 
 # ---------------------------------------------------------------- 10
 
-def crit_convolution(scale):
-    a = _vars(4)
-    def B(label, *idx):
-        return beta_sym(label, tuple(f'a{i}' for i in idx))
+def _B(label, *idx):
+    return beta_sym(label, tuple(f'a{i}' for i in idx))
 
-    def total_beta(w):
-        out = ZERO
-        for _pi, _ell, val in cv.boxplus_w_beta_terms(w, a[:len(w)]):
-            out = out + val
-        return out
 
-    def b2m(p):
-        return cm.expand_symbols(
-            p, lambda s: cm.moment_to_boolean(s[1], s[2])
-            if s[0] == 'beta' else Poly({(s,): 1}))
+def _b2m(p):
+    return cm.expand_symbols(
+        p, lambda s: cm.moment_to_boolean(s[1], s[2])
+        if s[0] == 'beta' else Poly({(s,): 1}))
 
-    half = B(1, 1, 2, 4) * B(2, 3) + B(1, 1) * B(1, 2, 4) * B(2, 3) \
-        + B(2, 1) * B(1, 2, 4) * B(2, 3)
-    if total_beta((1, 1, 2, 1)) != half + cm.mirror(half):
-        return False, 'four-letter part (1121) mismatch'
-    half = B(1, 1, 3, 4) * B(2, 2) + B(1, 1, 3) * B(2, 2) * B(1, 4) \
-        + B(1, 1, 3) * B(2, 2) * B(2, 4)
-    if total_beta((1, 2, 1, 1)) != half + cm.mirror(half):
-        return False, 'four-letter part (1211) mismatch'
-    half = B(1, 1, 4) * (B(2, 2, 3) + B(2, 2) * B(2, 3))
-    if total_beta((1, 2, 2, 1)) != half + cm.mirror(half):
-        return False, 'four-letter part (1221) mismatch'
-    d = cv.delta_sym(('a1', 'a2', 'a3'))
-    want = B(1, 2) * B(2, 1, 3) + B(2, 2) * B(1, 1, 3)
-    if d != b2m(want):
-        return False, 'three-letter difference mismatch'
 
+def _four_letter_part(w):
+    """w's part in Boolean cumulants is a half plus its mirror."""
+    B = _B
+    half = {
+        (1, 1, 2, 1): B(1, 1, 2, 4) * B(2, 3)
+        + B(1, 1) * B(1, 2, 4) * B(2, 3) + B(2, 1) * B(1, 2, 4) * B(2, 3),
+        (1, 2, 1, 1): B(1, 1, 3, 4) * B(2, 2)
+        + B(1, 1, 3) * B(2, 2) * B(1, 4) + B(1, 1, 3) * B(2, 2) * B(2, 4),
+        (1, 2, 2, 1): B(1, 1, 4) * (B(2, 2, 3) + B(2, 2) * B(2, 3)),
+    }[w]
+    return sum((val for _pi, _ell, val in cv.boxplus_w_beta_terms(
+        w, _vars(len(w)))), ZERO) == half + cm.mirror(half)
+
+
+def _linearized_1221():
     def k(word, idx, label):
         return cm.motzkin_k(word, [(f'a{i}', label) for i in idx])
 
@@ -758,33 +715,34 @@ def crit_convolution(scale):
         + lin((1, 2, 1), (1, 3, 4)) * lin((2,), (2,)) \
         + lin((1, 1), (1, 4)) * lin((2, 2), (2, 3)) \
         + lin((1, 1), (1, 4)) * lin((1,), (2,)) * lin((1,), (3,))
-    if cv.boxplus_w_sym((1, 2, 2, 1), a) != b2m(resolved):
-        return False, 'linearized resolution of the 1221 part mismatch'
+    return cv.boxplus_w_sym((1, 2, 2, 1), _vars(4)) == _b2m(resolved)
 
-    nmax = 5 if scale == 'full' else 4
-    for n in range(1, nmax + 1):
-        names = _vars(n)
-        for w in wd.enumerate_words(n):
-            r1 = cv.boxplus_w_sym(w, names, 'replica')
-            r2 = cv.boxplus_w_sym(w, names, 'monotone')
-            r3 = cv.boxplus_w_sym(w, names, 'nested')
-            if not (r1 == r2 == r3):
-                return False, f'route disagreement at {wd.format_word(w)}'
-    tmax = 6 if scale == 'full' else 5
-    for n in range(1, tmax + 1):
-        names = _vars(n)
-        total = cv.boxplus_total_sym(names)
-        oracle = ZERO
-        boracle = ZERO
-        for ell in iproduct((1, 2), repeat=n):
-            oracle = oracle + cv.free_product_sym(list(zip(names, ell)))
-            boracle = boracle + cv.boolean_product_sym(
-                list(zip(names, ell)))
-        if total != oracle:
-            return False, f'total != free oracle at n={n}'
-        if cv.boxplus_w_sym((1,) * n, names) != boracle:
-            return False, f'constant part != Boolean oracle at n={n}'
-    return True, f'examples fixed; routes to n={nmax}, totals to n={tmax}'
+
+def _routes_agree(w):
+    r1, r2, r3 = (cv.boxplus_w_sym(w, _vars(len(w)), route)
+                  for route in ('replica', 'monotone', 'nested'))
+    return r1 == r2 == r3
+
+
+def _labelings_sum(product, names):
+    return sum((product(list(zip(names, ell)))
+                for ell in iproduct((1, 2), repeat=len(names))), ZERO)
+
+
+CONVOLUTION = [
+    _each('four-letter-parts', [(1, 1, 2, 1), (1, 2, 1, 1), (1, 2, 2, 1)],
+          _four_letter_part),
+    _fixed('three-letter-difference', lambda: cv.delta_sym(
+        ('a1', 'a2', 'a3')) == _b2m(_B(1, 2) * _B(2, 1, 3)
+                                   + _B(2, 2) * _B(1, 1, 3))),
+    _fixed('linearized-1221', _linearized_1221),
+    _words('routes', _routes_agree, (5, 4)),
+    _upto('free-total', lambda n: cv.boxplus_total_sym(_vars(n))
+          == _labelings_sum(cv.free_product_sym, _vars(n)), (6, 5)),
+    _upto('boolean-constant', lambda n: cv.boxplus_w_sym(
+        (1,) * n, _vars(n))
+        == _labelings_sum(cv.boolean_product_sym, _vars(n)), (6, 5)),
+]
 
 
 # ---------------------------------------------------------------- 11
@@ -822,55 +780,97 @@ def _all_tableaux(m):
     return out
 
 
-def crit_syt(scale):
-    for w, tab in FIG4_TABLEAUX.items():
-        if wd.to_tableau(w) != tab:
-            return False, f'tableau mismatch at {wd.format_word(w)}'
-        if wd.from_tableau(tab) != w:
-            return False, f'inverse mismatch at {wd.format_word(w)}'
-    nmax = 8 if scale == 'full' else 6
-    for n in range(1, nmax + 1):
-        words = wd.enumerate_words(n)
-        images = [wd.to_tableau(w) for w in words]
-        if len({str(t) for t in images}) != len(words):
-            return False, f'bijection not injective at n={n}'
-        if len(words) != len(_all_tableaux(n - 1)):
-            return False, f'|M_{n}| != tableau count'
-        for w, t in zip(words, images):
-            if wd.from_tableau(t) != w:
-                return False, f'round trip fails at {wd.format_word(w)}'
-    return True, f'nine table rows fixed; bijection to n={nmax}'
+def _fig4_tableau(w):
+    tab = FIG4_TABLEAUX[w]
+    return wd.to_tableau(w) == tab and wd.from_tableau(tab) == w
+
+
+def _bijection(n):
+    words = wd.enumerate_words(n)
+    images = [wd.to_tableau(w) for w in words]
+    return (len({str(t) for t in images}) == len(words)
+            == len(_all_tableaux(n - 1))
+            and all(wd.from_tableau(t) == w for w, t in zip(words, images)))
+
+
+SYT = [
+    _each('fig4-tableaux', FIG4_TABLEAUX, _fig4_tableau),
+    _upto('bijection', _bijection, (8, 6)),
+]
 
 
 # ---------------------------------------------------------------- driver
 
 CRITERIA = [
-    (1, 'counting suite', crit_counting),
-    (2, 'five-letter lattice reproduction', crit_fig1),
-    (3, 'irreducible family reproduction', crit_fig3),
-    (4, 'coarsening closure and join', crit_lattice),
-    (5, 'cumulant transforms', crit_transforms),
-    (6, 'homogeneous decomposition of free cumulants', crit_decomposition),
-    (7, 'inversion and closed-form expansions', crit_expansions),
-    (8, 'replica model suite', crit_replicas),
-    (9, 'free moments and unit vanishing', crit_free_moments),
-    (10, 'convolution decomposition', crit_convolution),
-    (11, 'tableau bijection', crit_syt),
+    (1, 'counting suite', COUNTING),
+    (2, 'five-letter lattice reproduction', FIG1),
+    (3, 'irreducible family reproduction', FIG3),
+    (4, 'coarsening closure and join', LATTICE),
+    (5, 'cumulant transforms', TRANSFORMS),
+    (6, 'homogeneous decomposition of free cumulants', DECOMPOSITION),
+    (7, 'inversion and closed-form expansions', EXPANSIONS),
+    (8, 'replica model suite', REPLICA_EXAMPLES + LEMMAS),
+    (9, 'free moments and unit vanishing', FREE_MOMENTS),
+    (10, 'convolution decomposition', CONVOLUTION),
+    (11, 'tableau bijection', SYT),
 ]
 
 
+def walk(rows, scale):
+    """Check every case of each row in turn at scale 'full' or 'quick'.
+    Returns each passing row's (name, case count, seconds), in order, and
+    (name, case) of the first failing case, or None. A value that rows
+    share is timed in the first row that asks for it."""
+    if scale not in ('full', 'quick'):
+        raise ValueError(f"scale must be 'full' or 'quick', not {scale!r}")
+    stats = []
+    for row in rows:
+        t0 = time.perf_counter()
+        count = 0
+        for case in row.cases(row.tops[scale == 'quick']):
+            count += 1
+            if not row.holds(*case):
+                return stats, (row.name, case)
+        stats.append((row.name, count, time.perf_counter() - t0))
+    return stats, None
+
+
+def check_case(name, *case):
+    """Whether the named row of any criterion holds on one case; a failing
+    criterion prints this call for its first failing case."""
+    row = next(row for _n, _title, rows in CRITERIA for row in rows
+               if row.name == name)
+    return row.holds(*case)
+
+
+def _detail(stats, failed):
+    if failed:
+        name, case = failed
+        at = f' at {", ".join(map(repr, case))}' if case else ''
+        call = ', '.join(map(repr, (name,) + case))
+        return (f'{name} fails{at}; reproduce with python -c "from '
+                f'ncmotzkin import acceptance as a; '
+                f'print(a.check_case({call}))"')
+    table = ', '.join(f'{name} {count} {sec:.2f}s'
+                      for name, count, sec in stats)
+    return f'{sum(count for _name, count, _sec in stats)} cases: {table}'
+
+
 def run_criterion(num, scale='full'):
-    for n, name, fn in CRITERIA:
+    """(ok, detail, seconds) of criterion num; the detail gives each
+    row's case count and seconds, or the first failing case with a
+    one-line reproducer."""
+    for n, _title, rows in CRITERIA:
         if n == num:
             t0 = time.perf_counter()
-            ok, detail = fn(scale)
-            return ok, detail, time.perf_counter() - t0
+            stats, failed = walk(rows, scale)
+            return (failed is None, _detail(stats, failed),
+                    time.perf_counter() - t0)
     raise ValueError(f'no criterion {num}')
 
 
 def run(scale='full', out=print, jobs=1):
     """Run all criteria; returns True iff every one passes."""
-    all_ok = True
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
         # a fork pool starts all its workers at the first submit, and no
@@ -878,17 +878,14 @@ def run(scale='full', out=print, jobs=1):
         workers = min(jobs, len(CRITERIA))
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [(n, name, pool.submit(run_criterion, n, scale))
-                       for n, name, _fn in CRITERIA]
+                       for n, name, _rows in CRITERIA]
             results = [(n, name) + f.result() for n, name, f in futures]
     else:
-        results = []
-        for n, name, _fn in CRITERIA:
-            ok, detail, dt = run_criterion(n, scale)
-            results.append((n, name, ok, detail, dt))
+        results = [(n, name) + run_criterion(n, scale)
+                   for n, name, _rows in CRITERIA]
     for n, name, ok, detail, dt in results:
-        all_ok = all_ok and ok
         status = 'PASS' if ok else 'FAIL'
-        out(f'[{status}] criterion {n:2d} ({name}): {detail} '
-            f'[{dt:.1f}s]')
+        out(f'[{status}] criterion {n:2d} ({name}): {detail} [{dt:.1f}s]')
+    all_ok = all(ok for _n, _name, ok, _detail, _dt in results)
     out('ALL PASS' if all_ok else 'FAILURES PRESENT')
     return all_ok

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from ncmotzkin import acceptance
 from ncmotzkin import cli
 from ncmotzkin import convolution as cv
 
@@ -383,6 +384,30 @@ def test_verify_rejects_fewer_than_one_job(capsys, jobs):
     code, _, err = run(capsys, 'verify', '--quick', '--jobs', jobs)
     assert code == 2
     assert f"--jobs: must be a positive integer, got '{jobs}'" in err
+
+
+def test_verify_quick_passes(capsys):
+    code, out, _ = run(capsys, 'verify', '--quick')
+    lines = out.splitlines()
+    assert code == 0
+    assert [line[:7] for line in lines[:-1]] == ['[PASS] '] * 11
+    assert lines[-1] == 'ALL PASS'
+
+
+def test_verify_fails_on_a_failing_row(capsys, monkeypatch):
+    monkeypatch.setattr(acceptance, 'CRITERIA', [
+        (n, title, [row._replace(holds=lambda *case: False)
+                    if row.name == 'unit-vanishing' else row for row in rows])
+        for n, title, rows in acceptance.CRITERIA])
+    code, out, _ = run(capsys, 'verify', '--quick')
+    lines = out.splitlines()
+    assert code == 1
+    fails = [line for line in lines if line.startswith('[FAIL]')]
+    assert len(fails) == 1
+    assert fails[0].startswith(
+        '[FAIL] criterion  9 (free moments and unit vanishing): '
+        'unit-vanishing fails at 2, 0; reproduce with python -c ')
+    assert len(lines) == 12 and lines[-1] == 'FAILURES PRESENT'
 
 
 def test_deterministic_output(capsys):

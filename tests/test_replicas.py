@@ -135,9 +135,9 @@ ROW_COUNTS = {
 
 @pytest.mark.parametrize('row', ac.LEMMAS, ids=lambda row: row.name)
 def test_lemma_row(row):
-    counts, _secs, failed = ac._walk([(row, ROW_BOUNDS.get(row.name, 4))])
-    assert failed is None
-    assert counts == [ROW_COUNTS[row.name]]
+    cases = row.cases(ROW_BOUNDS.get(row.name, 4))
+    assert next((case for case in cases if not row.holds(*case)), None) is None
+    assert len(cases) == ROW_COUNTS[row.name]
 
 
 def test_zeta():
