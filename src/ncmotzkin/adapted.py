@@ -21,9 +21,19 @@ def block_subword(w, block):
 
 
 def _adapted(pi, w, monotone):
-    """Whether pi is adapted to w, or monotonically adapted, by one
-    left-to-right scan over the positions of w; raises ValueError unless
-    pi's blocks, in any order, partition 1..len(w).
+    """Whether pi is adapted to w, or monotonically adapted, by the mask
+    scan _adapted_masks; raises ValueError unless pi's blocks, in any
+    order, partition 1..len(w)."""
+    n = len(w)
+    if sp.ground_size(pi) != n:
+        raise ValueError('partition/word length mismatch')
+    return _adapted_masks(sp._masks(pi, n), w, monotone)
+
+
+def _adapted_masks(masks, w, monotone):
+    """Whether the partition of 1..len(w) held as int masks (bit x for
+    element x, in any order) is adapted to w, or monotonically adapted,
+    by one left-to-right scan over the positions of w.
 
     The stack holds the blocks opened and not yet closed, above an entry
     for the top level. Each entry is [the block's elements not yet
@@ -33,10 +43,7 @@ def _adapted(pi, w, monotone):
     element of a block below the top, crosses the top. With `monotone`,
     a block's letters are constant and its depth is its letter offset by
     min(w) - 1."""
-    n = len(w)
-    if sp.ground_size(pi) != n:
-        raise ValueError('partition/word length mismatch')
-    opens = {m & -m: m for m in sp._masks(pi, n)}
+    opens = {m & -m: m for m in masks}
     base = min(w) if monotone else None
     stack = [[0, 0, 0, 0]]
     bit = 1
@@ -172,15 +179,15 @@ def _partitions(key, at):
     blocks come in lexicographic order, and one gap's blocks all end
     before the next gap's begin, so the list is sorted as it is built,
     as _nc's is. Keyed like run_shapes, plus the offset, so every word
-    and class that holds a run at one offset shares its entry. Bounded, since an entry holds whole
-    lists of partitions and a long word's top-level entry all of NC(w)."""
+    and class that holds a run at one offset shares its entry. Bounded,
+    since an entry holds whole lists of partitions and a long word's
+    top-level entry all of NC(w)."""
     out = []
     for block, gaps, rest in run_shapes(key):
         fills = [_partitions(g, at + p) for p, g in zip(block, gaps) if g]
         if rest:
             fills.append(_partitions(rest, at + block[-1]))
-        head = (tuple([at + p for p in block]),)
-        out += [head + sum(parts, ()) for parts in product(*fills)]
+        out += sp._products((tuple([at + p for p in block]),), fills)
     return tuple(out)
 
 
@@ -205,21 +212,21 @@ def zero_hat(w):
     w = tuple(w)
     blocks = []
 
-    def rec(positions):
-        base = min(w[p - 1] for p in positions)
-        bases = [p for p in positions if w[p - 1] == base]
+    def rec(lo, hi):
+        # the positions lo..hi, always contiguous, so a gap is a range
+        base = min(w[lo - 1:hi])
+        bases = [p for p in range(lo, hi + 1) if w[p - 1] == base]
         cur = [bases[0]]
         for prev, p in zip(bases, bases[1:]):
-            gap = [q for q in positions if prev < q < p]
-            if gap:
+            if p > prev + 1:
                 cur.append(p)
-                rec(gap)
+                rec(prev + 1, p - 1)
             else:
                 blocks.append(tuple(cur))
                 cur = [p]
         blocks.append(tuple(cur))
 
-    rec(list(range(1, len(w) + 1)))
+    rec(1, len(w))
     if sum(map(len, blocks)) != len(w) or not is_adapted(blocks, w):
         raise ValueError(f'{w} is not a Motzkin word')
     return sp.normalize(blocks)
@@ -270,12 +277,15 @@ def coarsening_closure(w):
 
 
 def join_adapted(pi, w, rho, w2):
-    if tuple(w) != tuple(w2):
+    w = tuple(w)
+    if w != tuple(w2):
         raise ValueError('join requires a common word')
-    joined = sp.join_nc(pi, rho)
-    if not is_adapted(joined, w):
+    joined = sp._join(pi, rho)
+    if sp.ground_size(pi) != len(w):
+        raise ValueError('partition/word length mismatch')
+    if not _adapted_masks(joined, w, False):
         raise ValueError('join left the adapted family')
-    return joined
+    return sp._canonical(joined)
 
 
 @lru_cache(maxsize=256)

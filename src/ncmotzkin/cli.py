@@ -41,6 +41,10 @@ HASSE_MAX_VERTICES = 6500
 # boxplus_total_sym, since their moment tables are too large to write.
 CONVOLVE_MAX_LENGTH = {'monotone': (12, 11), 'replica': (9, 9),
                        'nested': (9, 9)}
+# Most words of one length `words` lists: the 853,467 of length 17 print
+# within about 5 s from a fresh process on a 2-core x86-64 machine, and
+# the 2,356,779 of length 18 take 11-16 s and up to 1.7 GB.
+WORDS_MAX_COUNT = 1_000_000
 
 
 def _word_json(w):
@@ -97,7 +101,20 @@ def _write_dot(path, verts, edges, node_id, rank_key):
         fh.write('\n'.join(lines) + '\n')
 
 
+def _check_words_size(n):
+    """Refuse a length whose words, M_(n-1) at any height, outnumber
+    WORDS_MAX_COUNT, before enumerating; M_k grows with k, so the
+    longest length allowed is the first k with M_k over the limit."""
+    top = 1
+    while wd.motzkin_number(top) <= WORDS_MAX_COUNT:
+        top += 1
+    if n > top:
+        raise ValueError(f'words lists at most {WORDS_MAX_COUNT} words of '
+                         f'one length, so --n is at most {top}, not {n}')
+
+
 def cmd_words(args):
+    _check_words_size(args.n)
     if args.labels is not None:
         labels = wd.parse_word(args.labels)
         out = wd.labeled_words(args.n, labels, args.height)

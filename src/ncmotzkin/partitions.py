@@ -5,14 +5,15 @@ A partition is stored canonically as a tuple of blocks, each block a
 tuple of increasing 1-based elements, blocks ordered by their minima.
 The nesting scan behind `is_noncrossing` and `nesting` reads a block's
 first element as its minimum and its last as its maximum, so it needs
-increasing blocks: the canonical form `normalize` produces. `join_nc`
-holds blocks as int masks, bit x for element x, built by `_masks`,
-which checks in the same pass, with normalize's messages, that the
-blocks partition 1..n in any order; it joins them and returns the
-canonical form. `adapted.is_adapted` checks its input with `_masks`
-too. NC(n) is generated by its first block (`_nc`); Int(n) and
-NC_irr(n) are read off the grammar of NC(w) (`adapted._partitions`), as
-NC(1^n) and NC_irr(n^n).
+increasing blocks: the canonical form `normalize` produces. The join
+works on blocks held as int masks, bit x for element x, built by
+`_masks`, which checks in the same pass, with normalize's messages,
+that the blocks partition 1..n in any order: `_join` joins the masks,
+and `join_nc` prints them in canonical form. `adapted.is_adapted` reads
+its input through `_masks`, and `adapted.join_adapted` checks the masks
+of `_join` without printing them. NC(n) is generated by its first
+block (`_nc`); Int(n) and NC_irr(n) are read off the grammar of NC(w)
+(`adapted._partitions`), as NC(1^n) and NC_irr(n^n).
 """
 
 from bisect import bisect_left
@@ -111,6 +112,20 @@ def is_interval(pi):
     return all(b[-1] - b[0] + 1 == len(b) for b in pi)
 
 
+def _products(head, fills):
+    """head followed by each product of the fills, a fill being a list of
+    partitions, in the order of product(*fills). One or two fills, and
+    none, cover nearly every block of NC(n) and NC(w), so those are one
+    concatenation each rather than a sum over a product."""
+    if not fills:
+        return [head]
+    if len(fills) == 1:
+        return [head + p for p in fills[0]]
+    if len(fills) == 2:
+        return [head + p + q for p in fills[0] for q in fills[1]]
+    return [head + sum(parts, ()) for parts in product(*fills)]
+
+
 @lru_cache(maxsize=None)
 def _nc(lo, hi):
     """The noncrossing partitions of lo..hi, sorted; ((),) when the range
@@ -134,8 +149,7 @@ def _nc(lo, hi):
         fills = [_nc(a + 1, b - 1) for a, b in zip(block, block[1:])
                  if b > a + 1]
         fills.append(_nc(last + 1, hi))
-        head = (block,)
-        out += [head + sum(parts, ()) for parts in product(*fills)]
+        out += _products((block,), fills)
         stack += [block + (q,) for q in range(hi, last, -1)]
     return tuple(out)
 
@@ -251,11 +265,11 @@ def _bits(m):
     return out
 
 
-def join_nc(pi, rho):
-    """Least upper bound of two noncrossing partitions of [n] in NC(n),
-    on blocks held as int masks: check both as masks (_masks), merge
-    each block of rho with the blocks it meets, then merge crossing
-    blocks until none cross. Returns the canonical form.
+def _join(pi, rho):
+    """The join of two noncrossing partitions of [n] in NC(n), as int
+    masks in no set order: check both as masks (_masks), merge each
+    block of rho with the blocks it meets, then merge crossing blocks
+    until none cross.
 
     The crossings are merged in one scan in order of minima, with a
     stack of the blocks whose span holds the current minimum. A block b
@@ -287,7 +301,18 @@ def join_nc(pi, rho):
             b |= stack.pop()
             low = b & -b
         stack.append(b)
-    return tuple(sorted(tuple(_bits(m)) for m in done + stack))
+    return done + stack
+
+
+def _canonical(masks):
+    """The canonical form of a partition held as int masks."""
+    return tuple(sorted(tuple(_bits(m)) for m in masks))
+
+
+def join_nc(pi, rho):
+    """Least upper bound of two noncrossing partitions of [n] in NC(n),
+    in canonical form: the mask join _join, printed."""
+    return _canonical(_join(pi, rho))
 
 
 def refines(pi, rho):

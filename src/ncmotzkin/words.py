@@ -6,18 +6,21 @@ differ by at most 1. A word of height j starts and ends at j and never
 goes below j; a reduced word has height 1.
 """
 
+from functools import lru_cache
+from operator import sub
+
 
 def check_word(letters):
     """Validate a letter sequence and return it as a tuple.
 
-    Raises ValueError on empty input, non-positive letters or steps
-    outside {-1, 0, +1}.
+    Raises ValueError on empty input, letters that are not positive
+    ints (bools included) or steps outside {-1, 0, +1}.
     """
     w = tuple(letters)
     if not w:
         raise ValueError('empty word')
     for x in w:
-        if not isinstance(x, int) or x < 1:
+        if type(x) is not int or x < 1:
             raise ValueError(f'letters must be positive integers, got {x!r}')
     for a, b in zip(w, w[1:]):
         if abs(a - b) > 1:
@@ -58,32 +61,32 @@ def steps(letters):
     return tuple(b - a for a, b in zip(w, w[1:]))
 
 
+@lru_cache(maxsize=12)
+def _reduced(n):
+    """The reduced words of length n, in lexicographic order, as a tuple:
+    each prefix extended by its last letter - 1, + 0, + 1, keeping the
+    letters from which the word can still come back down to 1. Bounded,
+    so a process that lists words of many lengths keeps only 12 tables."""
+    words = [(1,)]
+    for k in range(1, n):
+        top = n - k
+        words = [w + (y,) for w in words for y in (w[-1] - 1, w[-1], w[-1] + 1)
+                 if 0 < y <= top]
+    return tuple(words)
+
+
 def enumerate_words(n, height=1):
     """All Motzkin words of length n and the given height, in lexicographic
-    order. Height 1 gives the reduced words M_n."""
-    if n < 1:
+    order, as a fresh list. Height 1 gives the reduced words M_n; the
+    words of height h are those shifted up by h - 1, in the same order."""
+    if type(n) is not int or n < 1:
         raise ValueError('word length must be >= 1')
-    if height < 1:
+    if type(height) is not int or height < 1:
         raise ValueError('height must be >= 1')
-    j = height
-    out = []
-
-    def extend(prefix, last):
-        k = len(prefix)
-        if k == n:
-            if last == j:
-                out.append(tuple(prefix))
-            return
-        for nxt in (last - 1, last, last + 1):
-            # prune: must be able to come back down to j in time
-            if nxt < j or nxt - j > n - k - 1:
-                continue
-            prefix.append(nxt)
-            extend(prefix, nxt)
-            prefix.pop()
-
-    extend([j], j)
-    return out
+    if height == 1:
+        return list(_reduced(n))
+    up = height - 1
+    return [tuple([x + up for x in w]) for w in _reduced(n)]
 
 
 def motzkin_number(k):
@@ -120,12 +123,12 @@ def to_tableau(w):
     row 3 when possible (otherwise it closes an up step into row 2).
     """
     w = check_word(w)
-    if not is_reduced(w):
+    if w[0] != 1 or w[-1] != 1:  # letters are >= 1, so 1 is the minimum
         raise ValueError(f'{w} is not a reduced Motzkin word')
     rows = [[], [], []]
     open_up = []
     open_h2 = []
-    for i, s in enumerate(steps(w), start=1):
+    for i, s in enumerate(map(sub, w[1:], w), start=1):
         if s == 1:
             rows[0].append(i)
             open_up.append(i)

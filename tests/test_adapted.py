@@ -75,6 +75,51 @@ def test_zero_hat_raises_where_its_scan_fails():
     assert ad.zero_hat((1, 3, 1)) == ((1, 3), (2,))
 
 
+def frozen_zero_hat(w):
+    """zero_hat as it was before its gaps became ranges: each gap is
+    scanned out of the positions handed to rec."""
+    w = tuple(w)
+    blocks = []
+
+    def rec(positions):
+        base = min(w[p - 1] for p in positions)
+        bases = [p for p in positions if w[p - 1] == base]
+        cur = [bases[0]]
+        for prev, p in zip(bases, bases[1:]):
+            gap = [q for q in positions if prev < q < p]
+            if gap:
+                cur.append(p)
+                rec(gap)
+            else:
+                blocks.append(tuple(cur))
+                cur = [p]
+        blocks.append(tuple(cur))
+
+    rec(list(range(1, len(w) + 1)))
+    if sum(map(len, blocks)) != len(w) or not ad.is_adapted(blocks, w):
+        raise ValueError(f'{w} is not a Motzkin word')
+    return sp.normalize(blocks)
+
+
+def test_zero_hat_matches_frozen():
+    # every sequence over 1..3 to length 6, Motzkin words or not, and the
+    # reduced words of length 7 and 8
+    cases = [w for n in range(1, 7)
+             for w in iproduct((1, 2, 3), repeat=n)]
+    cases += wd.enumerate_words(7) + wd.enumerate_words(8)
+    raised = 0
+    for w in cases:
+        outcomes = []
+        for zero_hat in (frozen_zero_hat, ad.zero_hat):
+            try:
+                outcomes.append(zero_hat(w))
+            except ValueError as exc:
+                outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1], w
+        raised += isinstance(outcomes[0], str)
+    assert 0 < raised < len(cases)  # both outcomes are compared
+
+
 def test_closure_equals_filter():
     for n in range(1, 7):
         for w in wd.enumerate_words(n):
@@ -106,6 +151,28 @@ def test_join_requires_common_word():
         ad.join_adapted(((1,),), (1,), ((1,),), (2,))
     with pytest.raises(ValueError, match='ground set mismatch'):
         ad.join_adapted(((1, 2),), (1, 1), ((1,), (2,), (3,)), (1, 1))
+
+
+def test_join_checks_its_word():
+    with pytest.raises(ValueError, match='partition/word length mismatch'):
+        ad.join_adapted(((1,), (2,)), (1,), ((1, 2),), (1,))
+    with pytest.raises(ValueError, match='partition/word length mismatch'):
+        ad.join_adapted(((1,),), (1, 1), ((1,),), (1, 1))
+    # 12 is not a Motzkin word, so no partition is adapted to it
+    with pytest.raises(ValueError, match='join left the adapted family'):
+        ad.join_adapted(((1,), (2,)), (1, 2), ((1,), (2,)), (1, 2))
+
+
+def test_join_matches_frozen():
+    # the join as it was: join_nc printed, then is_adapted parsing it back
+    for n in range(1, 6):
+        for w in wd.enumerate_words(n):
+            verts = ad.enumerate_adapted(w, 'all')
+            for a in verts:
+                for b in verts:
+                    joined = sp.join_nc(a, b)
+                    assert ad.is_adapted(joined, w)
+                    assert ad.join_adapted(a, w, b, w) == joined
 
 
 # Inputs that are not partitions of 1..n, each with the message

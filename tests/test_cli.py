@@ -5,6 +5,7 @@ import pytest
 from ncmotzkin import acceptance
 from ncmotzkin import cli
 from ncmotzkin import convolution as cv
+from ncmotzkin import words as wd
 
 
 def run(capsys, *argv):
@@ -37,6 +38,21 @@ def test_words_labels(capsys):
     code, out, _ = run(capsys, 'words', '--n', '3', '--labels', '112')
     assert code == 0
     assert out.splitlines() == ['111']
+
+
+def test_words_size_limit(capsys):
+    # refused before enumerating, with and without --labels
+    assert cli.WORDS_MAX_COUNT == 1_000_000
+    assert wd.motzkin_number(16) <= cli.WORDS_MAX_COUNT < wd.motzkin_number(17)
+    for n in (18, 22, 10 ** 12):
+        for extra in ((), ('--json',), ('--labels', '12' * 11),
+                      ('--height', '2')):
+            code, out, err = run(capsys, 'words', '--n', str(n), *extra)
+            assert code == 1 and out == ''
+            assert err == 'error: words lists at most 1000000 words of ' \
+                f'one length, so --n is at most 17, not {n}\n'
+    code, out, _ = run(capsys, 'words', '--n', '14', '--labels', '1' * 14)
+    assert code == 0 and out == '1' * 14 + '\n'
 
 
 def test_adapted_count(capsys):

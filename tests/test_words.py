@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -21,6 +23,88 @@ def test_enumeration_is_sorted_and_valid():
         words = wd.enumerate_words(n)
         assert words == sorted(words)
         assert all(wd.is_reduced(w) for w in words)
+
+
+def frozen_enumerate_words(n, height=1):
+    """enumerate_words as it was before the shifted table: a depth-first
+    search over prefixes at the given height."""
+    if n < 1:
+        raise ValueError('word length must be >= 1')
+    if height < 1:
+        raise ValueError('height must be >= 1')
+    j = height
+    out = []
+
+    def extend(prefix, last):
+        k = len(prefix)
+        if k == n:
+            if last == j:
+                out.append(tuple(prefix))
+            return
+        for nxt in (last - 1, last, last + 1):
+            # prune: must be able to come back down to j in time
+            if nxt < j or nxt - j > n - k - 1:
+                continue
+            prefix.append(nxt)
+            extend(prefix, nxt)
+            prefix.pop()
+
+    extend([j], j)
+    return out
+
+
+def brute_force_words(n, h):
+    """Every sequence over h..h+n-1 that starts and ends at h, never goes
+    below it and steps by at most 1, in lexicographic order."""
+    return [w for w in product(range(h, h + n), repeat=n)
+            if w[0] == w[-1] == min(w) == h
+            and all(abs(a - b) <= 1 for a, b in zip(w, w[1:]))]
+
+
+def test_enumeration_matches_frozen_and_brute_force():
+    for n in range(1, 10):
+        for h in (1, 2, 3):
+            got = wd.enumerate_words(n, h)
+            assert got == frozen_enumerate_words(n, h), (n, h)
+            if n <= 7:
+                assert got == brute_force_words(n, h), (n, h)
+
+
+def test_enumeration_returns_fresh_lists_from_a_bounded_cache():
+    first = wd.enumerate_words(4)
+    first.append('spoiled')
+    first[0] = None
+    assert wd.enumerate_words(4) == [(1, 1, 1, 1), (1, 1, 2, 1),
+                                     (1, 2, 1, 1), (1, 2, 2, 1)]
+    assert wd.enumerate_words(4) is not wd.enumerate_words(4)
+    assert wd.enumerate_words(4, 2) is not wd.enumerate_words(4, 2)
+    # one table per length, and no more than 12 of them
+    assert wd._reduced.cache_info().maxsize == 12
+    for n in range(1, 15):
+        wd.enumerate_words(n)
+    assert wd._reduced.cache_info().currsize == 12
+
+
+@pytest.mark.parametrize('n, height, message', [
+    (True, 1, 'word length must be >= 1'),
+    (3.0, 1, 'word length must be >= 1'),
+    ('3', 1, 'word length must be >= 1'),
+    (0, 1, 'word length must be >= 1'),
+    (3, True, 'height must be >= 1'),
+    (3, 2.0, 'height must be >= 1'),
+    (3, 0, 'height must be >= 1'),
+])
+def test_enumeration_refuses_non_integer_sizes(n, height, message):
+    with pytest.raises(ValueError, match=message):
+        wd.enumerate_words(n, height)
+
+
+def test_non_integer_letters_are_refused():
+    for letters, bad in (([True, 2, True], 'True'), ([1, 2.0, 1], '2.0'),
+                         ([1, '2', 1], "'2'"), ([False], 'False')):
+        with pytest.raises(ValueError, match=f'positive integers, got {bad}'):
+            wd.check_word(letters)
+    assert wd.check_word([1, 2, 1]) == (1, 2, 1)
 
 
 def test_height_and_shift():
@@ -66,6 +150,17 @@ def test_tableau_examples():
     assert wd.to_tableau((1, 2, 3, 2, 1)) == [[1, 2], [3, 4]]
     assert wd.to_tableau((1, 2, 1, 2, 1)) == [[1, 3], [2, 4]]
     assert wd.from_tableau([[1, 2], [3, 4]]) == (1, 2, 3, 2, 1)
+
+
+def test_tableau_keeps_its_messages():
+    for w, message in (
+            ((2, 3, 3, 2), r'\(2, 3, 3, 2\) is not a reduced Motzkin word'),
+            ((1, 2, 2), r'\(1, 2, 2\) is not a reduced Motzkin word'),
+            ((1, 2, 4, 2, 1), 'invalid step 2 -> 4'),
+            ((), 'empty word'),
+            ((True, True), 'letters must be positive integers, got True')):
+        with pytest.raises(ValueError, match=f'^{message}$'):
+            wd.to_tableau(w)
 
 
 def test_tableau_rejects_bad_shapes():
