@@ -45,6 +45,15 @@ CONVOLVE_MAX_LENGTH = {'monotone': (12, 11), 'replica': (9, 9),
 # within about 5 s from a fresh process on a 2-core x86-64 machine, and
 # the 2,356,779 of length 18 take 11-16 s and up to 1.7 GB.
 WORDS_MAX_COUNT = 1_000_000
+# Largest --n `cumulants transform` takes per direction: the last order
+# whose polynomial, from a fresh process, is built within about 20 s
+# and 0.5 GB.
+TRANSFORM_MAX_N = {('m', 'r'): 11, ('m', 'beta'): 20, ('r', 'm'): 12,
+                   ('beta', 'm'): 19, ('beta', 'r'): 13, ('r', 'beta'): 13}
+# Largest --n `cumulants decompose` takes: the last length whose pieces,
+# from a fresh process, are all built within about 20 s and 0.5 GB, in
+# text, --json and --multivariate alike.
+DECOMPOSE_MAX_N = 13
 
 
 def _word_json(w):
@@ -188,8 +197,14 @@ def _names(text):
     return names
 
 
+def _check_order(command, n, limit):
+    if n > limit:
+        raise ValueError(f'{command} takes --n at most {limit}, not {n}')
+
+
 def cmd_cumulants_decompose(args):
     n = args.n
+    _check_order('cumulants decompose', n, DECOMPOSE_MAX_N)
     if args.multivariate:
         variables = _names(args.multivariate)
         if len(variables) != n:
@@ -217,6 +232,10 @@ def cmd_cumulants_decompose(args):
 
 
 def cmd_cumulants_transform(args):
+    pair = args.src, args.dst
+    if pair in TRANSFORM_MAX_N:
+        _check_order(f'cumulants transform --from {args.src} --to '
+                     f'{args.dst}', args.n, TRANSFORM_MAX_N[pair])
     variables = tuple(f'a{i + 1}' for i in range(args.n))
     val = cm.transform(args.src, args.dst, 0, variables)
     if args.json:

@@ -114,14 +114,21 @@ class Poly:
         return _poly({m: -c for m, c in self.terms.items()})
 
     def __mul__(self, other):
+        """The product. A unit or zero operand decides it and is returned
+        itself (the other operand, or that zero), which is safe since a
+        Poly is never mutated; one term times one term builds its one
+        monomial and coefficient directly."""
         if isinstance(other, Poly):
-            # a unit or zero operand decides the product; the operand is
-            # shared, which is safe since a Poly is never mutated
             a, b = self.terms, other.terms
             if not a or b == _UNIT_TERMS:
                 return self
             if not b or a == _UNIT_TERMS:
                 return other
+            if len(a) == 1 == len(b):
+                (m1, c1), = a.items()
+                (m2, c2), = b.items()
+                mono = tuple(sorted(m1 + m2)) if m1 and m2 else m1 or m2
+                return _poly({mono: _num(c1 * c2)})
             out = {}
             for m1, c1 in a.items():
                 for m2, c2 in b.items():

@@ -167,26 +167,29 @@ class Rep:
         return _rep(_diff_maps(self.terms, other.terms))
 
     def __mul__(self, other):
+        """The product. A zero operand gives REP_ZERO; one monomial times
+        one, a common case, fills no dict. A coefficient product with the
+        shared ONE on either side is the other coefficient itself, with
+        no Poly product: safe, since a Poly is never mutated."""
         if not isinstance(other, Rep):
             return _rep(_scaled(self.terms, other))
         a, b = self.terms, other.terms
         if not a or not b:
             return REP_ZERO
         if len(a) == 1 and len(b) == 1:
-            # one monomial times one, a common case, with no dict to fill
             (k, c), = a.items()
             (l, d), = b.items()
             m = _mul_mono(k, l)
             if m is None:
                 return REP_ZERO
-            return _rep({m: c * d})
+            return _rep({m: d if c is ONE else c if d is ONE else c * d})
         out = {}
         for k, c in a.items():
             for l, d in b.items():
                 m = _mul_mono(k, l)
                 if m is None:
                     continue
-                cd = c * d
+                cd = d if c is ONE else c if d is ONE else c * d
                 out[m] = out[m] + cd if m in out else cd
         return _rep({k: c for k, c in out.items() if c.terms})
 
@@ -368,13 +371,22 @@ class BElement:
         self.comp = _nonzero(comp or {})
 
     def __add__(self, other):
+        """The sum; with a zero operand it is the other operand itself,
+        shared, which is safe since a BElement is never mutated."""
         if not isinstance(other, BElement):
             return NotImplemented
+        if not other.comp:
+            return self
+        if not self.comp:
+            return other
         return _belement(_sum_maps(self.comp, other.comp))
 
     def __sub__(self, other):
+        """The difference; x - 0 is x itself, shared as in __add__."""
         if not isinstance(other, BElement):
             return NotImplemented
+        if not other.comp:
+            return self
         return _belement(_diff_maps(self.comp, other.comp))
 
     def __mul__(self, other):
@@ -547,7 +559,10 @@ def B_w_rep(w, args):
     sum over the interval splits of w of the products of B over their
     blocks; grouping the splits by their first block gives
     B(1..k) = E(1..k) - sum over cuts c < k of B(1..c) E(c+1..k), where
-    a cut c has w_c = w_(c+1) = height(w)."""
+    a cut c has w_c = w_(c+1) = height(w). A cut whose B(1..c) is zero
+    adds nothing, so its product and expectation are never built, and
+    B(1..k) may be a shared value such as E(1..k) itself: values are
+    never mutated."""
     w = tuple(w)
     if len(args) != len(w):
         raise ValueError('argument/word length mismatch')
@@ -556,7 +571,8 @@ def B_w_rep(w, args):
     for i, k in enumerate(ends):
         out = expectation(rep_product(args[:k]))
         for c in ends[:i]:
-            out = out - B[c] * expectation(rep_product(args[c:k]))
+            if B[c].comp:
+                out = out - B[c] * expectation(rep_product(args[c:k]))
         B[k] = out
     return B[len(w)]
 
@@ -608,10 +624,15 @@ class Forests:
 
     def nested(self, plan, forest):
         """The nested cumulant of a partition, given by its plan, on the
-        forest's arguments: the product over its outer blocks."""
+        forest's arguments: the product over its outer blocks. The
+        product stops at its first zero factor, so the later blocks'
+        values stay unbuilt until another plan asks for them; the zero
+        returned may be a shared value, which is never mutated."""
         out = B_ONE
         for tree in plan:
             out = out * self.value(_graft(tree, forest))
+            if not out.comp:
+                break
         return out
 
 

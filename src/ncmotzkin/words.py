@@ -61,32 +61,51 @@ def steps(letters):
     return tuple(b - a for a, b in zip(w, w[1:]))
 
 
-@lru_cache(maxsize=12)
-def _reduced(n):
-    """The reduced words of length n, in lexicographic order, as a tuple:
-    each prefix extended by its last letter - 1, + 0, + 1, keeping the
-    letters from which the word can still come back down to 1. Bounded,
-    so a process that lists words of many lengths keeps only 12 tables."""
+def _grow(n, flat):
+    """The reduced words of length n, in lexicographic order, whose step
+    k to k + 1 is 0 wherever flat[k - 1]: each prefix extended by its
+    last letter - 1, + 0, + 1 (by + 0 alone at a flat step), keeping the
+    letters from which the word can still come back down to 1."""
     words = [(1,)]
     for k in range(1, n):
         top = n - k
-        words = [w + (y,) for w in words for y in (w[-1] - 1, w[-1], w[-1] + 1)
-                 if 0 < y <= top]
-    return tuple(words)
+        if flat[k - 1]:
+            words = [w + (w[-1],) for w in words if w[-1] <= top]
+        else:
+            words = [w + (y,) for w in words
+                     for y in (w[-1] - 1, w[-1], w[-1] + 1) if 0 < y <= top]
+    return words
+
+
+@lru_cache(maxsize=12)
+def _reduced(n):
+    """The reduced words of length n as a tuple. Bounded, so a process
+    that lists words of many lengths keeps only 12 tables."""
+    return tuple(_grow(n, (False,) * (n - 1)))
+
+
+def _check_size(n, height):
+    if type(n) is not int or n < 1:
+        raise ValueError('word length must be >= 1')
+    if type(height) is not int or height < 1:
+        raise ValueError('height must be >= 1')
+
+
+def _shifted(words, height):
+    """The words of height 1 shifted up to the given height, as a fresh
+    list in the same order."""
+    if height == 1:
+        return list(words)
+    up = height - 1
+    return [tuple([x + up for x in w]) for w in words]
 
 
 def enumerate_words(n, height=1):
     """All Motzkin words of length n and the given height, in lexicographic
     order, as a fresh list. Height 1 gives the reduced words M_n; the
     words of height h are those shifted up by h - 1, in the same order."""
-    if type(n) is not int or n < 1:
-        raise ValueError('word length must be >= 1')
-    if type(height) is not int or height < 1:
-        raise ValueError('height must be >= 1')
-    if height == 1:
-        return list(_reduced(n))
-    up = height - 1
-    return [tuple([x + up for x in w]) for w in _reduced(n)]
+    _check_size(n, height)
+    return _shifted(_reduced(n), height)
 
 
 def motzkin_number(k):
@@ -102,15 +121,15 @@ def motzkin_number(k):
 
 def labeled_words(n, labels, height=1):
     """Words w of length n and given height such that equal adjacent labels
-    force equal adjacent letters (j_k = j_{k+1} whenever i_k = i_{k+1})."""
+    force equal adjacent letters (j_k = j_{k+1} whenever i_k = i_{k+1}),
+    in lexicographic order, generated with those steps fixed at 0 so no
+    other word of the length is built."""
     ell = tuple(labels)
     if len(ell) != n:
         raise ValueError('labeling length mismatch')
-    result = []
-    for w in enumerate_words(n, height):
-        if all(w[k] == w[k + 1] for k in range(n - 1) if ell[k] == ell[k + 1]):
-            result.append(w)
-    return result
+    _check_size(n, height)
+    return _shifted(_grow(n, [a == b for a, b in zip(ell, ell[1:])]),
+                    height)
 
 
 def to_tableau(w):

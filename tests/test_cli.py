@@ -162,6 +162,36 @@ def test_cumulants_transform(capsys):
     assert out == 'beta(a1,a2)\n'
 
 
+def test_cumulants_size_limits(capsys):
+    # refused at limit + 1 before any work: the names of --multivariate
+    # are not even counted, and the transform builds no polynomial
+    assert cli.TRANSFORM_MAX_N == {('m', 'r'): 11, ('m', 'beta'): 20,
+                                   ('r', 'm'): 12, ('beta', 'm'): 19,
+                                   ('beta', 'r'): 13, ('r', 'beta'): 13}
+    assert cli.DECOMPOSE_MAX_N == 13
+    for (src, dst), limit in cli.TRANSFORM_MAX_N.items():
+        for extra in ((), ('--json',)):
+            code, out, err = run(capsys, 'cumulants', 'transform', '--from',
+                                 src, '--to', dst, '--n', str(limit + 1),
+                                 *extra)
+            assert code == 1 and out == ''
+            assert err == f'error: cumulants transform --from {src} --to ' \
+                f'{dst} takes --n at most {limit}, not {limit + 1}\n'
+    for extra in ((), ('--json',), ('--multivariate', 'a,b')):
+        code, out, err = run(capsys, 'cumulants', 'decompose', '--n', '14',
+                             *extra)
+        assert code == 1 and out == ''
+        assert err == 'error: cumulants decompose takes --n at most 13, ' \
+            'not 14\n'
+    # a pair with no transform keeps its own error at any order
+    code, out, err = run(capsys, 'cumulants', 'transform', '--from', 'm',
+                         '--to', 'm', '--n', '50')
+    assert code == 1 and err == 'error: no transform m -> m\n'
+    code, out, _ = run(capsys, 'cumulants', 'transform', '--from', 'm',
+                       '--to', 'beta', '--n', '1')
+    assert code == 0 and out == 'm(a1)\n'
+
+
 def test_replicas_moment(capsys):
     code, out, _ = run(capsys, 'replicas', 'moment', '--word', '11',
                        '--labels', '12', '--vars', 'a,b')

@@ -295,6 +295,49 @@ def test_poly_matches_fraction_reference(pa, qb, s):
     assert ONE.terms == {(): 1} and ZERO.terms == {}
 
 
+def frozen_poly_mul(p, q):
+    """Poly.__mul__ as the general double loop alone, before one-term
+    operands took a path of their own, kept as the reference."""
+    out = {}
+    for m1, c1 in p.terms.items():
+        for m2, c2 in q.terms.items():
+            mono = tuple(sorted(m1 + m2))
+            out[mono] = out.get(mono, 0) + c1 * c2
+    return cm._poly({m: cm._num(c) for m, c in out.items() if c})
+
+
+ONE_TERM = st.tuples(
+    st.lists(st.sampled_from(SYMBOLS), max_size=3).map(
+        lambda ms: tuple(sorted(ms))),
+    st.one_of(COEFFS.filter(bool),
+              st.sampled_from([Fraction(1, 2), 2, Fraction(-2, 3),
+                               Fraction(3, 2)]))).map(
+    lambda mc: Poly({mc[0]: mc[1]}))
+
+
+@settings(max_examples=200, deadline=None)
+@given(ONE_TERM, ONE_TERM)
+def test_one_term_product_matches_frozen_double_loop(p, q):
+    got = p * q
+    assert got.terms == frozen_poly_mul(p, q).terms
+    assert len(got.terms) == 1 and all(list(m) == sorted(m)
+                                       for m in got.terms)
+    assert_exact_types(got)
+
+
+def test_one_term_products_of_fractions_give_ints():
+    x, y = ('m', 0, ('x',)), ('m', 0, ('y',))
+    for a, b in ((Poly.const(Fraction(1, 2)), Poly.const(2)),
+                 (Poly({(x,): Fraction(1, 2)}), Poly({(y,): 2})),
+                 (Poly({(x,): Fraction(-2, 3)}),
+                  Poly({(x, y): Fraction(3, 2)})),
+                 (Poly({(): Fraction(1, 2)}), Poly({(y,): Fraction(4)}))):
+        for got in (a * b, b * a):
+            assert got.terms == frozen_poly_mul(a, b).terms
+            (c,) = got.terms.values()
+            assert type(c) is int and c in (1, -1, 2)
+
+
 def test_integral_coefficients_are_int():
     p = cm.moment_to_free(0, ('x',) * 6)
     assert p.terms and all(type(c) is int for c in p.terms.values())

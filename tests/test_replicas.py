@@ -820,3 +820,79 @@ def test_zero_operands_match_frozen_products():
             for u, v in ((z, x), (x, z)):
                 assert u * v == frozen_belement_mul(u, v) == rp.B_ZERO
         assert z * a == rp.B_ZERO and a * z == rp.B_ZERO
+
+
+def projected_cases():
+    """(w, args) in the shapes of criterion 8's middle-projection and
+    standalone rows, to n = 5: a_k times p_(height) for k < n - 1, with
+    one extra p_1 or p_2 on another argument when n <= 3, and p_j
+    inserted as an argument of its own with j inserted in the word. Every
+    labeling to n = 3, the constant and alternating ones from n = 4."""
+    out = []
+    for n in range(1, 6):
+        for w in ac._am_words(n):
+            labelings = (list(iproduct((1, 2), repeat=n)) if n < 4
+                         else [(1,) * n, ((1, 2) * n)[:n]])
+            for ell in labelings:
+                aa = ac._replicas(w, ell, 'x')
+                extras = [(None, 0)] + [(i, b) for i in range(n - 1)
+                                        for b in (1, 2) if n <= 3]
+                for k in range(n - 1):
+                    for i, b in extras:
+                        args = ac._at(aa, k, aa[k] * rp.p_proj(w[0]))
+                        if i is not None:
+                            args[i] = args[i] * rp.p_proj(b)
+                        out.append((w, args))
+                if n < 5:
+                    out += [(w[:k] + (j,) + w[k:],
+                             ac._ins(aa, k, rp.p_proj(j)))
+                            for k in range(n + 1) for j in (1, 2, 3)
+                            if wd.is_motzkin(w[:k] + (j,) + w[k:])]
+    return out
+
+
+def test_B_and_K_w_rep_match_frozen_on_projected_arguments():
+    # projections make some B(1..c) at a cut c vanish, which B_w_rep
+    # skips, and some outer block of a plan vanish, where Forests.nested
+    # stops its product
+    cases = projected_cases()
+    zero_cuts = 0
+    for w, args in cases:
+        assert rp.B_w_rep(w, args) == frozen_B_w_rep(w, args), (w, args)
+        assert rp.K_w_rep(w, args) == frozen_K_w_rep(w, args), (w, args)
+        zero_cuts += any(rp.B_w_rep(w[:c], args[:c]).is_zero()
+                         for c in ad._cuts(w)[:-1])
+    assert len(cases) == 1054 and zero_cuts == 579
+
+
+def test_sums_with_a_zero_operand_match_frozen_and_share_it():
+    # x + 0, 0 + x and x - 0 are x itself; 0 - x is -x; no operand moves
+    def snapshot(terms):
+        return {k: dict(c.terms) for k, c in terms.items()}
+
+    def frozen(a, b, sign):
+        # the sum or difference of two maps term by term, with no short-cut
+        out = dict(a)
+        for k, c in b.items():
+            c = c if sign > 0 else -c
+            if k in out:
+                c = out.pop(k) + c
+            if c.terms:
+                out[k] = c
+        return out
+
+    for zeros, others, attr in (
+            ([rp.REP_ZERO, rp.Rep(), rp.p_proj(1) * rp.p_proj(2)],
+             rep_elements(), 'terms'),
+            ([rp.B_ZERO, rp.BElement(), rp.BElement({0: 0, 2: ZERO})],
+             belement_elements(), 'comp')):
+        for z, x in iproduct(zeros, others):
+            before = snapshot(getattr(x, attr)), snapshot(getattr(z, attr))
+            for u, v in ((x, z), (z, x)):
+                a, b = getattr(u, attr), getattr(v, attr)
+                assert getattr(u + v, attr) == frozen(a, b, 1)
+                assert getattr(u - v, attr) == frozen(a, b, -1)
+            assert (snapshot(getattr(x, attr)),
+                    snapshot(getattr(z, attr))) == before
+            if attr == 'comp' and x.comp:
+                assert x + z is x and z + x is x and x - z is x

@@ -133,6 +133,51 @@ def test_labeled_words_filter():
     assert wd.labeled_words(3, (1, 2, 1)) == [(1, 1, 1), (1, 2, 1)]
 
 
+def frozen_labeled_words(n, labels, height=1):
+    """labeled_words as it was before it generated its words: every word
+    of the length and height, filtered by the labels."""
+    ell = tuple(labels)
+    if len(ell) != n:
+        raise ValueError('labeling length mismatch')
+    result = []
+    for w in wd.enumerate_words(n, height):
+        if all(w[k] == w[k + 1] for k in range(n - 1) if ell[k] == ell[k + 1]):
+            result.append(w)
+    return result
+
+
+def test_labeled_words_match_frozen_filter():
+    cases = 0
+    for n in range(1, 10):
+        for ell in product((1, 2), repeat=n):
+            for h in (1, 2, 3):
+                got = wd.labeled_words(n, ell, h)
+                assert got == frozen_labeled_words(n, ell, h), (n, ell, h)
+                cases += 1
+    assert cases == 3 * (2 ** 10 - 2)
+    # a fresh list each time, and a length no filter could reach: there
+    # are M_59 words of length 60
+    first = wd.labeled_words(4, (1, 2, 2, 1))
+    first.append('spoiled')
+    assert wd.labeled_words(4, (1, 2, 2, 1)) == [(1, 1, 1, 1), (1, 2, 2, 1)]
+    assert wd.labeled_words(60, (1,) * 60, 2) == [(2,) * 60]
+
+
+@pytest.mark.parametrize('n, labels, height, message', [
+    (3, (1, 2), 1, 'labeling length mismatch'),
+    ('3', (1, 2, 1), 1, 'labeling length mismatch'),
+    (0, (), 1, 'word length must be >= 1'),
+    (True, (1,), 1, 'word length must be >= 1'),
+    (2, (1, 2), 0, 'height must be >= 1'),
+    (2, (1, 2), 2.0, 'height must be >= 1'),
+])
+def test_labeled_words_keep_their_errors(n, labels, height, message):
+    with pytest.raises(ValueError, match=message):
+        wd.labeled_words(n, labels, height)
+    with pytest.raises(ValueError, match=message):
+        frozen_labeled_words(n, labels, height)
+
+
 def test_parse_and_format():
     assert wd.parse_word('12321') == (1, 2, 3, 2, 1)
     assert wd.parse_word('1,2,1') == (1, 2, 1)
