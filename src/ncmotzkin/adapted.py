@@ -7,7 +7,6 @@ splits Int(w), labeled variants, the depth-word bijection eta and the
 poset over all pairs (partition, word).
 """
 
-from bisect import bisect_left
 from functools import lru_cache
 from itertools import combinations, product
 from operator import le
@@ -233,31 +232,26 @@ def zero_hat(w):
 
 
 def admissible_coarsenings(pi, w):
-    """One-step coarsenings of an adapted partition that stay adapted:
-    merging two blocks in one gap of a common nearest outer block, or
-    two top-level blocks (juxtaposition; blocks lying between the pair
-    become nested), or merging a block into its nearest outer
-    (insertion). Two blocks in different gaps of their outer block would
-    cross it once merged, so they are never paired."""
-    pi = sp.normalize(pi)
+    """One-step coarsenings of a partition adapted to w that stay adapted,
+    sorted: every merge of two blocks, as masks, that the adaptedness
+    scan _adapted_masks accepts. These are merges of two blocks in one
+    gap of a common nearest outer block, or of two top-level blocks
+    (juxtaposition; blocks lying between the pair become nested), or of
+    a block into its nearest outer (insertion); any other pair crosses
+    a block once merged. Raises ValueError unless pi is adapted to w."""
     w = tuple(w)
-    nest = sp.nesting(pi)
-    gaps = {}
-    for v, (outer, _d) in nest.items():
-        key = None if outer is None else (outer, bisect_left(outer, v[0]))
-        gaps.setdefault(key, []).append(v)
-    candidates = [(u, v) for group in gaps.values()
-                  for i, u in enumerate(group) for v in group[i + 1:]]
-    candidates += [(v, outer) for v, (outer, _d) in nest.items()
-                   if outer is not None]
+    n = len(w)
+    if sp.ground_size(pi) != n:
+        raise ValueError('partition/word length mismatch')
+    masks = sp._masks(pi, n)
+    if not _adapted_masks(masks, w, False):
+        raise ValueError('coarsenings need a partition adapted to the word')
     out = []
-    seen = set()
-    for u, v in candidates:
-        merged = sp.normalize(
-            [b for b in pi if b not in (u, v)] + [tuple(sorted(u + v))])
-        if merged not in seen and is_adapted(merged, w):
-            seen.add(merged)
-            out.append(merged)
+    for i, j in combinations(range(len(masks)), 2):
+        merged = masks[:i] + masks[i + 1:j] + masks[j + 1:]
+        merged.append(masks[i] | masks[j])
+        if _adapted_masks(merged, w, False):
+            out.append(sp._canonical(merged))
     return sorted(out)
 
 

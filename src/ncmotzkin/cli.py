@@ -211,24 +211,21 @@ def cmd_cumulants_decompose(args):
             raise ValueError('need one variable per letter')
     else:
         variables = ('x',) * n
-    rows = []
+    # one word at a time: the --json list is written as json.dumps would
+    # write it, without holding every word's terms at once
+    sep = '['
     for w in wd.enumerate_words(n):
         if args.json:
-            terms = []
-            for pi in ad.enumerate_adapted(w, 'monotone_irr'):
-                terms.append({
-                    'coeff': str((-1) ** (len(pi) - 1)),
-                    'monomial': [['beta', len(b), list(b)] for b in pi],
-                })
-            rows.append({'w': list(w), 'terms': terms})
+            terms = [{'coeff': str((-1) ** (len(pi) - 1)),
+                      'monomial': [['beta', len(b), list(b)] for b in pi]}
+                     for pi in ad.enumerate_adapted(w, 'monotone_irr')]
+            sys.stdout.write(sep + json.dumps({'w': list(w), 'terms': terms}))
+            sep = ', '
         else:
             val = cm.motzkin_k(w, [(v, 0) for v in variables])
-            rows.append(f'{wd.format_word(w)}: {format_poly(val)}')
+            _emit(f'{wd.format_word(w)}: {format_poly(val)}')
     if args.json:
-        _emit(json.dumps(rows))
-    else:
-        for row in rows:
-            _emit(row)
+        _emit(']')
 
 
 def cmd_cumulants_transform(args):

@@ -40,14 +40,20 @@ _SYMBOLS = []
 _IDS = {}
 
 
+def _intern(key, table, ids):
+    """The id of key in an append-only table and its id map, added to
+    both when it is new."""
+    i = ids.get(key)
+    if i is None:
+        i = ids[key] = len(table)
+        table.append(key)
+    return i
+
+
 def intern(sym):
     """The id of the raw symbol (kind, label, args), added to the table
     when it is new."""
-    i = _IDS.get(sym)
-    if i is None:
-        i = _IDS[sym] = len(_SYMBOLS)
-        _SYMBOLS.append(sym)
-    return i
+    return _intern(sym, _SYMBOLS, _IDS)
 
 
 def symbol_of(i):
@@ -237,9 +243,12 @@ def r_sym(label, args):
     return Poly.symbol('r', label, args)
 
 
-def _prod(polys):
-    out = ONE
-    for p in polys:
+def _prod(factors, one=ONE):
+    """The product of the factors in order, starting from the first, so
+    no product by the unit is built; `one` for no factors."""
+    factors = iter(factors)
+    out = next(factors, one)
+    for p in factors:
         out = out * p
     return out
 
@@ -469,10 +478,8 @@ def refinement_coefficient(pi_prime, pi, w):
     coeff = 1
     for v in pi_prime:
         index = {p: i + 1 for i, p in enumerate(v)}
+        # pi refines pi_prime, so these blocks partition V, in order
         inner = [tuple(index[p] for p in b) for b in pi if b[0] in index]
-        if any(p not in index for b in pi if b[0] in index for p in b):
-            return 0
-        inner = sp.normalize(inner)
         if not (ad.is_adapted(inner, ad.block_subword(w, v))
                 and sp.is_irreducible(inner)):
             return 0

@@ -5,15 +5,16 @@ A partition is stored canonically as a tuple of blocks, each block a
 tuple of increasing 1-based elements, blocks ordered by their minima.
 The nesting scan behind `is_noncrossing` and `nesting` reads a block's
 first element as its minimum and its last as its maximum, so it needs
-increasing blocks: the canonical form `normalize` produces. The join
-works on blocks held as int masks, bit x for element x, built by
-`_masks`, which checks in the same pass, with normalize's messages,
-that the blocks partition 1..n in any order: `_join` joins the masks,
-and `join_nc` prints them in canonical form. `adapted.is_adapted` reads
-its input through `_masks`, and `adapted.join_adapted` checks the masks
-of `_join` without printing them. NC(n) is generated by its first
-block (`_nc`); Int(n) and NC_irr(n) are read off the grammar of NC(w)
-(`adapted._partitions`), as NC(1^n) and NC_irr(n^n).
+increasing blocks: the canonical form `normalize` produces. Blocks are
+read and checked in one place, `_masks`, which holds them as int masks,
+bit x for element x, and checks in the same pass that they partition
+1..n in any order: `normalize` sorts and then checks through it, `_join`
+joins the masks, and `join_nc` prints them in canonical form.
+`adapted.is_adapted`, `join_adapted` and `admissible_coarsenings` judge
+masks with the adaptedness scan, without printing the ones they refuse.
+NC(n) is generated by its first block (`_nc`); Int(n) and NC_irr(n) are
+read off the grammar of NC(w) (`adapted.enumerate_adapted`), as NC(1^n)
+and NC_irr(n^n).
 """
 
 from bisect import bisect_left
@@ -22,20 +23,10 @@ from itertools import product
 
 
 def normalize(blocks):
+    """The canonical form of a partition of 1..n given as any blocks,
+    checked by _masks."""
     bs = tuple(sorted(tuple(sorted(b)) for b in blocks))
-    if not bs:
-        raise ValueError('the empty partition has no ground set 1..n')
-    seen = set()
-    for b in bs:
-        if not b:
-            raise ValueError('empty block')
-        for x in b:
-            if x in seen:
-                raise ValueError(f'element {x} appears twice')
-            seen.add(x)
-    n = max(seen)
-    if seen != set(range(1, n + 1)):
-        raise ValueError('blocks must cover 1..n')
+    _masks(bs, ground_size(bs))
     return bs
 
 
@@ -161,14 +152,14 @@ def noncrossing_partitions(n):
 def irreducible_partitions(n):
     """NC_irr(n), sorted: NC_irr(w) for the word n^n, whose letter n
     bounds no block's depth."""
-    from .adapted import _partitions
-    return list(_partitions(((_check_size(n),) * n, 1, 0, None, True), 0))
+    from . import adapted as ad
+    return ad.enumerate_adapted((n,) * n, 'irr')
 
 
 def interval_partitions(n):
     """Int(n), sorted: NC(w) for the word 1^n, whose blocks nest nothing."""
-    from .adapted import _partitions
-    return list(_partitions(((1,) * _check_size(n), 1, 0, None, False), 0))
+    from . import adapted as ad
+    return ad.enumerate_adapted((1,) * n)
 
 
 def enumerate_partitions(n, cls='all'):
@@ -232,9 +223,9 @@ def nesting_plan(pi):
 
 def _masks(pi, n):
     """The blocks of pi as int masks, bit x for element x, checked in the
-    same pass with normalize's messages: the caller has checked that pi
-    holds n elements, so they partition 1..n when each lies in 1..n and
-    none repeats. Blocks and their elements may come in any order."""
+    same pass: the caller has checked that pi holds n elements, so they
+    partition 1..n when each lies in 1..n and none repeats. Blocks and
+    their elements may come in any order; the first fault met raises."""
     if not pi:
         raise ValueError('the empty partition has no ground set 1..n')
     masks = []

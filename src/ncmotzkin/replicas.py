@@ -25,8 +25,8 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product as iproduct, zip_longest
 
-from .cumulants import (Poly, ONE, ZERO, block_sum, m_sym, mirror,
-                        moment_to_boolean, format_belement)
+from .cumulants import (Poly, ONE, ZERO, _intern, _prod, block_sum, m_sym,
+                        mirror, moment_to_boolean, format_belement)
 from . import adapted as ad
 from . import partitions as sp
 from . import words as wd
@@ -67,14 +67,6 @@ _STRINGS = []
 _STRING_IDS = {}
 _MONOS = []
 _MONO_IDS = {}
-
-
-def _intern(key, table, ids):
-    i = ids.get(key)
-    if i is None:
-        i = ids[key] = len(table)
-        table.append(key)
-    return i
 
 
 def _string_id(sites, tail):
@@ -541,11 +533,7 @@ def zeta_E(x):
 
 def rep_product(args):
     """The product of the arguments in order, REP_ONE for none."""
-    args = iter(args)
-    out = next(args, REP_ONE)
-    for a in args:
-        out = out * a
-    return out
+    return _prod(args, REP_ONE)
 
 
 def replica_word(variables, labels, w):

@@ -7,6 +7,7 @@ goes below j; a reduced word has height 1.
 """
 
 from functools import lru_cache
+from itertools import accumulate
 from operator import sub
 
 
@@ -54,11 +55,6 @@ def shift_to_reduced(letters):
     w = check_word(letters)
     j = height(w)
     return tuple(x - j + 1 for x in w)
-
-
-def steps(letters):
-    w = check_word(letters)
-    return tuple(b - a for a, b in zip(w, w[1:]))
 
 
 def _grow(n, flat):
@@ -195,41 +191,26 @@ def check_tableau(rows):
     return [list(r) for r in rows]
 
 
-def _pair_down(upper, lower):
-    # pair each entry of `lower` (increasing) with the largest unpaired
-    # smaller entry of `upper`; returns {lower_entry: upper_entry}
-    free = sorted(upper)
-    pairing = {}
-    for x in sorted(lower):
-        candidates = [u for u in free if u < x]
-        if not candidates:
-            raise ValueError('tableau does not encode a Motzkin word')
-        u = candidates[-1]
-        free.remove(u)
-        pairing[x] = u
-    return pairing
-
 def from_tableau(rows):
-    """Inverse of to_tableau: recover the reduced word from the tableau."""
+    """Inverse of to_tableau: recover the reduced word from the tableau.
+
+    One scan over 1..m mirrors to_tableau: an entry of row 2 or 3 closes
+    the latest unclosed entry of the row above. A row-1 entry is an up
+    step if it is closed later and flat otherwise, a row-2 entry flat if
+    it is closed later and down otherwise, and a row-3 entry down."""
     rows = check_tableau(rows)
-    while len(rows) < 3:
-        rows.append([])
-    r1, r2, r3 = rows
-    p21 = _pair_down(r1, r2)
-    p32 = _pair_down(r2, r3)
-    paired1 = set(p21.values())
-    paired2 = set(p32.values())
-    m = sum(len(r) for r in rows)
-    letters = [1]
-    for i in range(1, m + 1):
-        if i in r1:
-            s = 1 if i in paired1 else 0
-        elif i in r2:
-            s = 0 if i in paired2 else -1
-        else:
-            s = -1
-        letters.append(letters[-1] + s)
-    w = tuple(letters)
+    row_of = {x: r for r, row in enumerate(rows) for x in row}
+    steps = [0] * len(row_of)
+    unclosed = [[], [], []]
+    for i in range(len(row_of)):
+        r = row_of[i + 1]
+        if r:
+            if not unclosed[r - 1]:
+                raise ValueError('tableau does not encode a Motzkin word')
+            steps[unclosed[r - 1].pop()] += 1
+            steps[i] = -1
+        unclosed[r].append(i)
+    w = tuple(accumulate(steps, initial=1))
     if not is_reduced(w):
         raise ValueError('tableau does not encode a Motzkin word')
     return w

@@ -126,6 +126,61 @@ def test_closure_equals_filter():
             assert ad.coarsening_closure(w) == ad.enumerate_adapted(w, 'all')
 
 
+def frozen_admissible_coarsenings(pi, w):
+    # admissible_coarsenings as written before it merged every pair of
+    # masks: candidate pairs from the nesting map, each merge normalized
+    # and checked by is_adapted
+    pi = sp.normalize(pi)
+    w = tuple(w)
+    nest = sp.nesting(pi)
+    gaps = {}
+    for v, (outer, _d) in nest.items():
+        key = None if outer is None else (outer, bisect_left(outer, v[0]))
+        gaps.setdefault(key, []).append(v)
+    candidates = [(u, v) for group in gaps.values()
+                  for i, u in enumerate(group) for v in group[i + 1:]]
+    candidates += [(v, outer) for v, (outer, _d) in nest.items()
+                   if outer is not None]
+    out = []
+    seen = set()
+    for u, v in candidates:
+        merged = sp.normalize(
+            [b for b in pi if b not in (u, v)] + [tuple(sorted(u + v))])
+        if merged not in seen and ad.is_adapted(merged, w):
+            seen.add(merged)
+            out.append(merged)
+    return sorted(out)
+
+
+def test_admissible_coarsenings_match_frozen():
+    # every adapted partition of every word of length <= 8, heights 1, 2
+    pairs = 0
+    for n in range(1, 9):
+        for h in (1, 2):
+            for w in wd.enumerate_words(n, h):
+                for pi in ad.enumerate_adapted(w):
+                    assert ad.admissible_coarsenings(pi, w) == \
+                        frozen_admissible_coarsenings(pi, w), (pi, w)
+                    pairs += 1
+    assert pairs == 21671
+
+
+def test_admissible_coarsenings_refuse_unadapted():
+    # blocks in any order are read as their canonical form
+    assert ad.admissible_coarsenings(((3,), (4, 1), (2,)), (1, 2, 2, 1)) \
+        == [((1, 2, 4), (3,)), ((1, 3, 4), (2,)), ((1, 4), (2, 3))]
+    # a crossing partition, and noncrossing ones that are not adapted
+    for pi, w in ((((1, 3), (2, 4)), (1, 1, 1, 1)),
+                  (((1, 4), (2, 3)), (1, 1, 1, 1)),
+                  (((1,), (2,)), (1, 2))):
+        assert not ad.is_adapted(pi, w)
+        with pytest.raises(ValueError, match='^coarsenings need a partition '
+                           'adapted to the word$'):
+            ad.admissible_coarsenings(pi, w)
+    with pytest.raises(ValueError, match='partition/word length mismatch'):
+        ad.admissible_coarsenings(((1,),), (1, 1))
+
+
 words_upto = st.integers(1, 5).flatmap(
     lambda n: st.sampled_from(wd.enumerate_words(n)))
 
@@ -175,9 +230,11 @@ def test_join_matches_frozen():
                     assert ad.join_adapted(a, w, b, w) == joined
 
 
-# Inputs that are not partitions of 1..n, each with the message
-# normalize gives it. The join and the adaptedness scan check them as
-# masks, in either argument of the join.
+# Inputs that are not partitions of 1..n, one fault each, blocks and
+# elements in any order, with the message partitions._masks gives it.
+# normalize checks through it after sorting; the join and the
+# adaptedness scan read blocks through it, in either argument of the
+# join.
 NOT_PARTITIONS = (
     (((1,), ()), 'empty block'),
     ((), 'the empty partition has no ground set 1..n'),
@@ -186,12 +243,18 @@ NOT_PARTITIONS = (
     (((1, 1),), 'element 1 appears twice'),
     (((1, 3),), 'blocks must cover 1..n'),
     (((0, 1),), 'blocks must cover 1..n'),
+    (((), (1,)), 'empty block'),
+    (((2, 1), (2,)), 'element 2 appears twice'),
+    (((3,), (1, 2), (3,)), 'element 3 appears twice'),
+    (((3,), (1,)), 'blocks must cover 1..n'),
+    (((4, 2), (1,)), 'blocks must cover 1..n'),
+    (((2, -1),), 'blocks must cover 1..n'),
 )
 
 
 @pytest.mark.parametrize('bad, message', NOT_PARTITIONS)
 def test_non_partitions_raise(bad, message):
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(ValueError, match=f'^{message}$'):
         sp.normalize(bad)
     n = sp.ground_size(bad)
     w = (1,) * n
@@ -201,9 +264,9 @@ def test_non_partitions_raise(bad, message):
             sp.join_nc(pi, rho)
         with pytest.raises(ValueError, match=message):
             ad.join_adapted(pi, w, rho, w)
-    for predicate in (ad.is_adapted, ad.is_monotone):
+    for check in (ad.is_adapted, ad.is_monotone, ad.admissible_coarsenings):
         with pytest.raises(ValueError, match=message):
-            predicate(bad, w)
+            check(bad, w)
 
 
 def test_adaptedness_reads_blocks_in_any_order():

@@ -155,6 +155,27 @@ def test_cumulants_decompose_json(capsys):
     ]
 
 
+def test_cumulants_decompose_json_is_written_as_json_dumps(capsys):
+    # written one word at a time, byte for byte as one json.dumps call
+    for n in range(1, 9):
+        code, out, _ = run(capsys, 'cumulants', 'decompose', '--n', str(n),
+                           '--json')
+        assert code == 0
+        rows = json.loads(out)
+        assert [tuple(r['w']) for r in rows] == wd.enumerate_words(n)
+        assert out == json.dumps(rows) + '\n'
+
+
+def test_cumulants_decompose_multivariate(capsys):
+    code, out, _ = run(capsys, 'cumulants', 'decompose', '--n', '4',
+                       '--multivariate', 'a,b,c,d')
+    assert code == 0
+    assert out == ('1111: beta(a,b,c,d)\n'
+                   '1121: -1*beta(a,b,d)*beta(c)\n'
+                   '1211: -1*beta(a,c,d)*beta(b)\n'
+                   '1221: beta(a,d)*beta(b)*beta(c) - 1*beta(a,d)*beta(b,c)\n')
+
+
 def test_cumulants_transform(capsys):
     code, out, _ = run(capsys, 'cumulants', 'transform', '--from', 'beta',
                        '--to', 'r', '--n', '2')

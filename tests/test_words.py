@@ -1,3 +1,4 @@
+import random
 from itertools import product
 
 import pytest
@@ -221,6 +222,100 @@ def test_tableau_rejects_bad_shapes():
     lambda n: st.sampled_from(wd.enumerate_words(n))))
 def test_tableau_round_trip(w):
     assert wd.from_tableau(wd.to_tableau(w)) == w
+
+
+def frozen_from_tableau(rows):
+    # from_tableau as written before its one scan: each lower row paired
+    # down to the row above, then the steps read off the pairings
+    def pair_down(upper, lower):
+        free = sorted(upper)
+        pairing = {}
+        for x in sorted(lower):
+            candidates = [u for u in free if u < x]
+            if not candidates:
+                raise ValueError('tableau does not encode a Motzkin word')
+            u = candidates[-1]
+            free.remove(u)
+            pairing[x] = u
+        return pairing
+
+    rows = wd.check_tableau(rows)
+    while len(rows) < 3:
+        rows.append([])
+    r1, r2, r3 = rows
+    paired1 = set(pair_down(r1, r2).values())
+    paired2 = set(pair_down(r2, r3).values())
+    letters = [1]
+    for i in range(1, sum(len(r) for r in rows) + 1):
+        if i in r1:
+            s = 1 if i in paired1 else 0
+        elif i in r2:
+            s = 0 if i in paired2 else -1
+        else:
+            s = -1
+        letters.append(letters[-1] + s)
+    w = tuple(letters)
+    if not wd.is_reduced(w):
+        raise ValueError('tableau does not encode a Motzkin word')
+    return w
+
+
+def standard_tableaux(m):
+    """Every standard Young tableau with m cells and at most 3 rows, each
+    entry 1..m placed in turn at the end of a row no longer than the row
+    above."""
+    out = []
+
+    def rec(rows, k):
+        if k > m:
+            out.append([list(r) for r in rows if r])
+            return
+        for r in range(3):
+            if r == 0 or len(rows[r]) < len(rows[r - 1]):
+                rows[r].append(k)
+                rec(rows, k + 1)
+                rows[r].pop()
+
+    rec([[], [], []], 1)
+    return out
+
+
+def from_tableau_outcome(from_tableau, rows):
+    try:
+        return from_tableau(rows)
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_from_tableau_matches_frozen():
+    tableaux = [t for m in range(11) for t in standard_tableaux(m)]
+    assert len(tableaux) == 3562
+    for t in tableaux:
+        assert wd.from_tableau(t) == frozen_from_tableau(t), t
+    # malformed input: shuffled entries, stray and repeated values, bools,
+    # too many rows, rows that are not lists
+    rng = random.Random(29)
+    raised = 0
+    for _ in range(20000):
+        t = [list(r) for r in rng.choice(tableaux)]
+        kind = rng.randrange(5)
+        if kind == 0 and t:
+            cells = [x for r in t for x in r]
+            rng.shuffle(cells)
+            t = [[cells.pop() for _x in r] for r in t]
+        elif kind == 1 and t:
+            t[rng.randrange(len(t))].append(rng.choice((-1, 0, 1, 12, True)))
+        elif kind == 2:
+            t.append([rng.randrange(1, 12) for _x in range(rng.randrange(3))])
+        elif kind == 3:
+            t.insert(0, [])
+        elif t:
+            t[-1] = tuple(t[-1])
+        outcomes = [from_tableau_outcome(f, t)
+                    for f in (wd.from_tableau, frozen_from_tableau)]
+        assert outcomes[0] == outcomes[1], t
+        raised += isinstance(outcomes[0], str)
+    assert 0 < raised < 20000  # both outcomes are compared
 
 
 def test_tableau_image_is_injective():
