@@ -16,8 +16,8 @@ from itertools import product, zip_longest
 from math import gcd
 
 from .cumulants import (UNIT, ZERO, ONE, moment_to_free, moment_to_boolean,
-                        beta_sym, block_sum, mirror, rename, symbol_of,
-                        _prod, _sum)
+                        beta_sym, block_sum, mirror, symbol_of, _prod,
+                        _sum)
 from . import adapted as ad
 from . import partitions as sp
 from . import replicas as rp
@@ -238,44 +238,18 @@ def boxplus_w_sym(w, variables, route='replica'):
     'monotone' builds both labels, so it stays an independent check of
     the other two.
 
-    The part depends on w, the route and the pattern in which the
-    variable names repeat, never on a distribution: it is built once per
-    (w, pattern, route), renamed to the names, and shared per literal
-    key; a Poly is never mutated."""
-    return _named(_w_part, tuple(w), tuple(str(v) for v in variables),
-                  route)
-
-
-def _pattern(variables):
-    """The names' first-occurrence pattern ('y', 'x', 'y') ->
-    ('#1', '#2', '#1'), the unit name kept literal, and the map from the
-    pattern's names back to the given ones."""
-    back = {}
-    canon = {}
-    for v in variables:
-        if v != UNIT and v not in canon:
-            canon[v] = f'#{len(canon) + 1}'
-            back[canon[v]] = v
-    return tuple(canon.get(v, v) for v in variables), back
-
-
-@lru_cache(maxsize=1024)
-def _named(build, key, variables, route):
-    """build(key, pattern, route) of the names' pattern, renamed to the
-    names. Bounded, since a process asks for the parts and totals of a
-    few name patterns, each many times over."""
-    pattern, back = _pattern(variables)
-    out = build(key, pattern, route)
-    return out if pattern == variables else rename(out, back)
+    The part depends on w, the route and the names, never on a
+    distribution: it is built once per (w, names, route) and shared; a
+    Poly is never mutated."""
+    return _w_part(tuple(w), tuple([str(v) for v in variables]), route)
 
 
 @lru_cache(maxsize=512)
-def _w_part(w, pattern, route):
-    """boxplus_w_sym on a tuple word and a tuple of str names, which
-    boxplus_w_sym gives as their first-occurrence pattern. Bounded,
-    since the reduced words and patterns a process meets are few."""
+def _w_part(w, names, route):
+    """boxplus_w_sym on a tuple word and a tuple of str names. Bounded,
+    since the reduced words and names a process meets are few."""
     n = len(w)
-    if len(pattern) != n:
+    if len(names) != n:
         raise ValueError('word/monomial length mismatch')
     if n == 0:
         return ONE
@@ -283,13 +257,13 @@ def _w_part(w, pattern, route):
         raise ValueError(f'{w} is not a reduced Motzkin word')
     if route == 'replica':
         # a labeling with l_1 = 2 is the mirror of one with l_1 = 1
-        half = _sum(rp.zeta_E(rp.replica_word(pattern, (1,) + ell, w))
+        half = _sum(rp.zeta_E(rp.replica_word(names, (1,) + ell, w))
                     for ell in product((1, 2), repeat=n - 1))
         return half + mirror(half)
     if route == 'monotone':
-        return _monotone_run(w, pattern, None)
+        return _monotone_run(w, names, None)
     if route == 'nested':
-        return _nested_part(w, pattern)
+        return _nested_part(w, names)
     raise ValueError(f'unknown route {route!r}')
 
 
@@ -346,7 +320,7 @@ def _monotone_run(w, names, label):
     top level (label None) each block picks its own label.
 
     A run depends only on its letters, names and label, so every word
-    and pattern that holds it shares it. Bounded, since a larger bound
+    and name tuple that holds it shares it. Bounded, since a larger bound
     saved little time on the totals at the length limits and cost peak
     memory."""
     labels = (1, 2) if label is None else (label,)
@@ -363,10 +337,11 @@ def _monotone_run(w, names, label):
 
 
 @lru_cache(maxsize=128)
-def _total(n, pattern, route):
-    """The sum of the parts of a pattern of length n over the reduced
-    words of that length."""
-    return _sum(_w_part(w, pattern, route) for w in wd.enumerate_words(n))
+def _total(names, route):
+    """The sum of the parts of the names over the reduced words of their
+    length."""
+    return _sum(_w_part(w, names, route)
+                for w in wd.enumerate_words(len(names)))
 
 
 def boxplus_w_beta_terms(w, variables):
@@ -392,7 +367,7 @@ def boxplus_total_sym(variables, route='monotone'):
     variables = tuple(str(v) for v in variables)
     if not variables:
         return ONE
-    return _named(_total, len(variables), variables, route)
+    return _total(variables, route)
 
 
 def boxplus_total(mu1, mu2, monomial, route='monotone'):

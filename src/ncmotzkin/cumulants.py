@@ -13,8 +13,8 @@ only. Ids depend on the order in which symbols were first met, so they
 never leave the process: `symbol_of` gives the raw symbol of an id and
 every reader of symbols goes through it, text and JSON output sort by
 the raw symbols, and a Poly pickles through its raw terms. `Poly(terms)`
-takes raw-symbol monomials. Renaming variables (`rename`) and swapping
-the labels 1 and 2 (`mirror`) map ids to ids, each id once.
+takes raw-symbol monomials. Swapping the labels 1 and 2 (`mirror`) maps
+ids to ids, each id once.
 
 The table, and the id map `mirror` keeps, have no bound: a symbol is kept
 after the last Poly that holds it is gone. The symbols a process meets
@@ -348,47 +348,27 @@ def expand_symbols(poly, rule):
     return out
 
 
-def map_symbols(p, ids, f):
-    """The polynomial with each symbol id i replaced by ids[i], which
-    f(i) computes when ids lacks it. The map must be injective on the
-    symbols of p, so that no two monomials merge."""
-    terms = {}
-    for mono, c in p.terms.items():
-        out = []
-        for i in mono:
-            j = ids.get(i)
-            if j is None:
-                j = ids[i] = f(i)
-            out.append(j)
-        out.sort()
-        terms[tuple(out)] = c
-    return _poly(terms)
-
-
 _MIRRORED = {}
-
-
-def _mirror_id(i):
-    kind, label, args = symbol_of(i)
-    return intern((kind, {1: 2, 2: 1}.get(label, label), args))
-
-
-def rename(p, back):
-    """p with each variable name a in every symbol's args replaced by
-    back.get(a, a). back must be a bijection on the names of p, so that
-    no two monomials merge; each symbol id is mapped once."""
-    def renamed(i):
-        kind, label, args = symbol_of(i)
-        return intern((kind, label, tuple([back.get(a, a) for a in args])))
-
-    return map_symbols(p, {}, renamed)
 
 
 def mirror(p):
     """p with the labels 1 and 2 swapped in every symbol, other labels
-    kept: the automorphism that exchanges the two marginals. The id map
-    is kept for the life of the process."""
-    return map_symbols(p, _MIRRORED, _mirror_id)
+    kept: the automorphism that exchanges the two marginals. Each symbol
+    id is mapped once, and the id map is kept for the life of the
+    process; the swap is injective, so no two monomials merge."""
+    terms = {}
+    for mono, c in p.terms.items():
+        out = []
+        for i in mono:
+            j = _MIRRORED.get(i)
+            if j is None:
+                kind, label, args = symbol_of(i)
+                j = _MIRRORED[i] = intern(
+                    (kind, {1: 2, 2: 1}.get(label, label), args))
+            out.append(j)
+        out.sort()
+        terms[tuple(out)] = c
+    return _poly(terms)
 
 
 def transform(src, dst, label, args):

@@ -197,7 +197,12 @@ def from_tableau(rows):
     One scan over 1..m mirrors to_tableau: an entry of row 2 or 3 closes
     the latest unclosed entry of the row above. A row-1 entry is an up
     step if it is closed later and flat otherwise, a row-2 entry flat if
-    it is closed later and down otherwise, and a row-3 entry down."""
+    it is closed later and down otherwise, and a row-3 entry down.
+
+    Every standard tableau encodes a reduced word: its columns increase,
+    so the j-th entry of a lower row finds the row above holding at
+    least j + 1 entries and j closed, and each down step closes an up
+    step before it."""
     rows = check_tableau(rows)
     row_of = {x: r for r, row in enumerate(rows) for x in row}
     steps = [0] * len(row_of)
@@ -205,15 +210,10 @@ def from_tableau(rows):
     for i in range(len(row_of)):
         r = row_of[i + 1]
         if r:
-            if not unclosed[r - 1]:
-                raise ValueError('tableau does not encode a Motzkin word')
             steps[unclosed[r - 1].pop()] += 1
             steps[i] = -1
         unclosed[r].append(i)
-    w = tuple(accumulate(steps, initial=1))
-    if not is_reduced(w):
-        raise ValueError('tableau does not encode a Motzkin word')
-    return w
+    return tuple(accumulate(steps, initial=1))
 
 
 def parse_word(text):

@@ -228,10 +228,10 @@ def test_bernoulli_convolutions():
     assert cv.boxplus_total(mu, mu, ('x',) * 4) == 6
     assert cv.uplus_total(mu, mu, ('x',) * 4) == 4
     # the Boolean total reads the cached monotone part of 1^n
-    cv._named.cache_clear()
+    cv._w_part.cache_clear()
     assert cv.uplus_total(mu, mu, ('x',) * 5) == 0
     cv.boxplus_w_sym((1,) * 5, ('x',) * 5, 'monotone')
-    assert cv._named.cache_info().hits == 1
+    assert cv._w_part.cache_info().hits == 1
     assert cv.delta(mu, mu, ('x',) * 4) == 2
     parts = cv.decompose(mu, mu, ('x',) * 4)
     assert sum(parts.values()) == 6
@@ -347,24 +347,19 @@ def test_cached_parts_match_fresh_builds():
     names = ('x', 'y', 'y', 'x')
     mu1, mu2 = seeded_pair(3)
     routes = ('replica', 'monotone', 'nested')
-    keys = [(w, cv._pattern(names[:n])[0], route) for n in range(1, 5)
+    keys = [(w, names[:n], route) for n in range(1, 5)
             for w in wd.enumerate_words(n) for route in routes]
-    assert {key[1] for key in keys} == {
-        ('#1',), ('#1', '#2'), ('#1', '#2', '#2'), ('#1', '#2', '#2', '#1')}
     fresh = {key: cv._w_part.__wrapped__(*key) for key in keys}
     cached = {key: cv._w_part(*key) for key in keys}
-    public = {key: cv.boxplus_w_sym(key[0], names[:len(key[0])], key[2])
-              for key in keys}
     for key in keys:
         assert cached[key] == fresh[key], key
         # the shared part as an operand of arithmetic
         p = cached[key]
         assert (p + p) * p - p * (p + p) == ZERO
         assert cv._w_part(*key) is p
-        # the renamed part is cached on the literal names
-        w, _pattern, route = key
-        assert cv.boxplus_w_sym(list(w), list(names[:len(w)]), route) \
-            is public[key]
+        # the public call reads the part cached on the literal names
+        w, names_w, route = key
+        assert cv.boxplus_w_sym(list(w), list(names_w), route) is p
     for n in range(1, 5):
         for route in routes:
             cv.decompose(mu1, mu2, names[:n], route)
@@ -372,19 +367,10 @@ def test_cached_parts_match_fresh_builds():
             cv.delta_sym(names[:n])
     for key in keys:
         assert cv._w_part(*key) == fresh[key], key
-        w, _pattern, route = key
-        assert public[key] == frozen_w_part(w, names[:len(w)], route), key
+        assert cached[key] == frozen_w_part(*key), key
     # the route is part of the key: a bad one is not served from the cache
     with pytest.raises(ValueError, match='unknown route'):
         cv.boxplus_w_sym((1, 1), ('x', 'y'), 'bogus')
-
-
-def test_pattern_of_names():
-    assert cv._pattern(('y', 'x', 'y')) == (('#1', '#2', '#1'),
-                                            {'#1': 'y', '#2': 'x'})
-    assert cv._pattern(('1', '#2', '1', 'x')) == (
-        ('1', '#1', '1', '#2'), {'#1': '#2', '#2': 'x'})
-    assert cv._pattern(()) == ((), {})
 
 
 # The w-part build as written when it was keyed on the literal names,
