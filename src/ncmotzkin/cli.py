@@ -413,8 +413,9 @@ def build_parser():
     p.add_argument('--mu2', required=True, metavar='FILE')
     p.add_argument('--monomial', required=True,
                    help='comma-separated variables')
-    p.add_argument('--word', help='a single word-indexed part')
-    p.add_argument('--by-path', action='store_true',
+    g = p.add_mutually_exclusive_group()
+    g.add_argument('--word', help='a single word-indexed part')
+    g.add_argument('--by-path', action='store_true',
                    help='one line per word-indexed part')
     p.add_argument('--route', default='monotone',
                    choices=['monotone', 'nested', 'replica'])

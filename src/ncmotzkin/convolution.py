@@ -16,7 +16,7 @@ from itertools import product, zip_longest
 from math import gcd
 
 from .cumulants import (UNIT, ZERO, ONE, moment_to_free, moment_to_boolean,
-                        beta_sym, block_sum, mirror, symbol_of, _prod,
+                        beta_sym, block_sum, mirror, _SYMBOLS, _prod,
                         _sum)
 from . import adapted as ad
 from . import partitions as sp
@@ -26,7 +26,8 @@ from . import words as wd
 
 class Distribution:
     """Moment table on words over a finite alphabet, truncated at a fixed
-    order; the empty word has moment 1.
+    order; the empty word has moment 1, so a table may give it 1 and no
+    other value, and it is not stored.
 
     In JSON a moment key joins the word's variable names with '' when
     every name is one character, and with ',' otherwise. The name '1'
@@ -48,7 +49,12 @@ class Distribution:
         self.moments = {}
         for word, val in moments.items():
             word = self._word(word)
-            self.moments[word] = Fraction(val)
+            val = Fraction(val)
+            if word:
+                self.moments[word] = val
+            elif val != 1:
+                raise ValueError("field 'moments': the empty word has "
+                                 f'moment 1, not {val}')
         for n in range(1, order + 1):
             for word in product(self.alphabet, repeat=n):
                 if word not in self.moments:
@@ -130,10 +136,10 @@ def evaluate(poly, mu1, mu2):
     a word that is not there goes through Distribution.moment, which
     raises for unknown letters and words longer than the order.
 
-    Each term is multiplied out in integers, numerator and denominator,
-    and added over the running lcm of the denominators; one Fraction is
-    built at the end."""
-    mus = {1: mu1, 2: mu2}
+    Each moment symbol is resolved once per call, from the symbol
+    table, into its (numerator, denominator). Each term is multiplied
+    out in integers and added over the running lcm of the denominators;
+    one Fraction is built at the end."""
     values = {}
     total, denom = 0, 1
     for mono, coeff in poly.terms.items():
@@ -144,7 +150,20 @@ def evaluate(poly, mu1, mu2):
         for i in mono:
             value = values.get(i)
             if value is None:
-                value = values[i] = _moment_value(symbol_of(i), mus)
+                kind, label, args = _SYMBOLS[i]
+                if kind != 'm':
+                    raise ValueError(f'cannot evaluate symbol kind {kind!r}')
+                if label == 1:
+                    mu = mu1
+                elif label == 2:
+                    mu = mu2
+                else:
+                    raise ValueError(f'cannot evaluate a moment symbol with '
+                                     f'label {label!r}: labels are 1 and 2')
+                moment = mu.moments.get(args)
+                if moment is None:
+                    moment = mu.moment(args)
+                value = values[i] = (moment.numerator, moment.denominator)
             num *= value[0]
             den *= value[1]
         if den != denom:
@@ -156,32 +175,20 @@ def evaluate(poly, mu1, mu2):
     return Fraction(total, denom)
 
 
-def _moment_value(sym, mus):
-    """(numerator, denominator) of a moment symbol's value."""
-    kind, label, args = sym
-    if kind != 'm':
-        raise ValueError(f'cannot evaluate symbol kind {kind!r}')
-    mu = mus.get(label)
-    if mu is None:
-        raise ValueError(f'cannot evaluate a moment symbol with '
-                         f'label {label!r}: labels are 1 and 2')
-    moment = mu.moments.get(args)
-    if moment is None:
-        moment = mu.moment(args)
-    return moment.numerator, moment.denominator
-
-
 def _check_pair(mu1, mu2, word):
-    """Both distributions share an alphabet that holds every letter of
-    the word, and their order reaches its length."""
-    if mu1.alphabet != mu2.alphabet:
+    """The names of the word's letters, as a tuple of str, once both
+    distributions are found to share an alphabet, in any order, that
+    holds every letter, and their order reaches its length."""
+    if set(mu1.alphabet) != set(mu2.alphabet):
         raise ValueError('distributions must share an alphabet')
-    for v in word:
-        if str(v) not in mu1.alphabet:
-            raise ValueError(f'unknown variable {str(v)!r}')
-    n = len(word)
+    names = tuple([str(v) for v in word])
+    for v in names:
+        if v not in mu1.alphabet:
+            raise ValueError(f'unknown variable {v!r}')
+    n = len(names)
     if n > mu1.order or n > mu2.order:
         raise ValueError(f'word length {n} exceeds distribution order')
+    return names
 
 
 def _product_sym(labeled_word, partitions, cumulant):
@@ -359,8 +366,8 @@ def boxplus_w_beta_terms(w, variables):
 def boxplus_w(mu1, mu2, monomial, w, route='monotone'):
     """Value of the w-indexed convolution part on a monomial (a word over
     the common alphabet)."""
-    _check_pair(mu1, mu2, monomial)
-    return evaluate(boxplus_w_sym(w, monomial, route), mu1, mu2)
+    names = _check_pair(mu1, mu2, monomial)
+    return evaluate(_w_part(tuple(w), names, route), mu1, mu2)
 
 
 def boxplus_total_sym(variables, route='monotone'):
@@ -373,19 +380,19 @@ def boxplus_total_sym(variables, route='monotone'):
 def boxplus_total(mu1, mu2, monomial, route='monotone'):
     """Free convolution moment: the sum of boxplus_w over all reduced
     words of the monomial's length."""
-    _check_pair(mu1, mu2, monomial)
-    return evaluate(boxplus_total_sym(tuple(monomial), route), mu1, mu2)
+    names = _check_pair(mu1, mu2, monomial)
+    if not names:
+        return Fraction(1)
+    return evaluate(_total(names, route), mu1, mu2)
 
 
 def uplus_total(mu1, mu2, monomial):
     """Boolean convolution moment: the boxplus_w parts of constant
     words."""
-    _check_pair(mu1, mu2, monomial)
-    monomial = tuple(monomial)
-    if not monomial:
+    names = _check_pair(mu1, mu2, monomial)
+    if not names:
         return Fraction(1)
-    return evaluate(boxplus_w_sym((1,) * len(monomial), monomial,
-                                  'monotone'), mu1, mu2)
+    return evaluate(_w_part((1,) * len(names), names, 'monotone'), mu1, mu2)
 
 
 def delta_sym(variables):
@@ -399,14 +406,13 @@ def delta_sym(variables):
 
 
 def delta(mu1, mu2, monomial):
-    _check_pair(mu1, mu2, monomial)
-    return evaluate(delta_sym(tuple(monomial)), mu1, mu2)
+    names = _check_pair(mu1, mu2, monomial)
+    return evaluate(delta_sym(names), mu1, mu2)
 
 
 def decompose(mu1, mu2, monomial, route='monotone'):
     """Map w -> boxplus_w value over all reduced words of the monomial's
     length."""
-    _check_pair(mu1, mu2, monomial)
-    monomial = tuple(monomial)
-    return {w: boxplus_w(mu1, mu2, monomial, w, route)
-            for w in wd.enumerate_words(len(monomial))}
+    names = _check_pair(mu1, mu2, monomial)
+    return {w: evaluate(_w_part(w, names, route), mu1, mu2)
+            for w in wd.enumerate_words(len(names))}

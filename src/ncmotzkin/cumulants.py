@@ -11,10 +11,11 @@ once, in an append-only table that lives as long as the process, so a
 monomial is a sorted tuple of ints and a product sorts and hashes ints
 only. Ids depend on the order in which symbols were first met, so they
 never leave the process: `symbol_of` gives the raw symbol of an id and
-every reader of symbols goes through it, text and JSON output sort by
-the raw symbols, and a Poly pickles through its raw terms. `Poly(terms)`
-takes raw-symbol monomials. Swapping the labels 1 and 2 (`mirror`) maps
-ids to ids, each id once.
+every reader of symbols goes through it except `convolution.evaluate`,
+which indexes `_SYMBOLS` itself to save a call per moment symbol; text
+and JSON output sort by the raw symbols, and a Poly pickles through its
+raw terms. `Poly(terms)` takes raw-symbol monomials. Swapping the
+labels 1 and 2 (`mirror`) maps ids to ids, each id once.
 
 The table, and the id map `mirror` keeps, have no bound: a symbol is kept
 after the last Poly that holds it is gone. The symbols a process meets

@@ -317,6 +317,16 @@ def test_convolve(capsys, tmp_path):
     assert out == '6\n'
 
 
+def test_convolve_word_and_by_path_exclude_each_other(capsys, tmp_path):
+    path = tmp_path / 'mu.json'
+    path.write_text(json.dumps(cv.univariate_distribution([0, 1]).to_json()))
+    code, out, err = run(capsys, 'convolve', '--mu1', str(path), '--mu2',
+                         str(path), '--monomial', 'x,x', '--word', '11',
+                         '--by-path')
+    assert code == 2 and out == ''
+    assert 'not allowed with argument' in err
+
+
 def test_convolve_rejects_unknown_letters(capsys, tmp_path):
     path = tmp_path / 'mu.json'
     path.write_text(json.dumps(cv.univariate_distribution([0, 1]).to_json()))
@@ -392,6 +402,8 @@ def test_convolve_length_limit(capsys, tmp_path):
     ('{"alphabet": ["x"], "order": 1, "moments": {"x": true}}', "'moments'"),
     ('[1]', 'JSON object'),
     ('{"alphabet": [1], "order": 1, "moments": {"1": "0"}}', "'alphabet'"),
+    ('{"alphabet": ["x"], "order": 1, "moments": {"": "5", "x": "1"}}',
+     "'moments'"),
 ])
 def test_convolve_rejects_malformed_distribution_files(capsys, tmp_path,
                                                        text, named):

@@ -74,6 +74,33 @@ def test_distribution_json_round_trip():
         cv.Distribution(('a,b',), 1, {('a,b',): 0})
 
 
+def test_empty_word_moment_is_one():
+    # the empty word's moment is 1: a table may give it 1, never another
+    # value, and 1 is not stored, so it is never written back out
+    table = {('x',): 0, ('x', 'x'): 1}
+    for bad in (5, 0, '2/3', Fraction(-1)):
+        with pytest.raises(ValueError, match="field 'moments': the empty "
+                           'word has moment 1'):
+            cv.Distribution(('x',), 2, {(): bad, **table})
+        with pytest.raises(ValueError, match="field 'moments'"):
+            cv.Distribution.from_json({'alphabet': ['x'], 'order': 2,
+                                       'moments': {'': str(bad), 'x': 0,
+                                                   'xx': 1}})
+    plain = cv.Distribution(('x',), 2, table)
+    for one in (1, '1', Fraction(2, 2)):
+        mu = cv.Distribution(('x',), 2, {(): one, **table})
+        assert mu.moments == plain.moments and () not in mu.moments
+        assert mu.moment(()) == 1
+        assert '' not in mu.to_json()['moments']
+    for alphabet in (['x'], ['x1']):
+        name = alphabet[0]
+        data = {'alphabet': alphabet, 'order': 1,
+                'moments': {'': 1, name: '3'}}
+        mu = cv.Distribution.from_json(data)
+        assert mu.to_json()['moments'] == {name: '3'}
+        assert cv.boxplus_total(mu, mu, (name,)) == 6
+
+
 @settings(max_examples=50, deadline=None)
 @given(st.lists(st.text('ab1', min_size=1, max_size=3).filter(
                     lambda v: v != cm.UNIT),
@@ -245,23 +272,63 @@ def test_boxplus_w_validates():
     with pytest.raises(ValueError):
         cv.boxplus_w(mu, mu, ('x',), (1, 1))
     nu = cv.univariate_distribution([1], 'y')
-    with pytest.raises(ValueError):
-        cv.boxplus_total(mu, nu, ('x',))
-    # every monomial letter must be in the alphabet; '1' never is
-    calls = [lambda m: cv.boxplus_total(mu, mu, m),
-             lambda m: cv.uplus_total(mu, mu, m),
-             lambda m: cv.delta(mu, mu, m),
-             lambda m: cv.decompose(mu, mu, m),
-             lambda m: cv.boxplus_w(mu, mu, m, (1, 1)),
-             lambda m: cv.free_product_moment(mu, mu, list(zip(m, (1, 2)))),
-             lambda m: cv.boolean_product_moment(mu, mu,
-                                                 list(zip(m, (1, 2))))]
+    short = cv.univariate_distribution([0, 1])
+    # every monomial letter must be in the alphabet; '1' never is. The
+    # alphabets are compared first, then the letters, then the order
+    calls = [lambda a, b, m: cv.boxplus_total(a, b, m),
+             lambda a, b, m: cv.uplus_total(a, b, m),
+             lambda a, b, m: cv.delta(a, b, m),
+             lambda a, b, m: cv.decompose(a, b, m),
+             lambda a, b, m: cv.boxplus_w(a, b, m, (1,) * len(m)),
+             lambda a, b, m: cv.free_product_moment(
+                 a, b, list(zip(m, (1, 2) * 4))),
+             lambda a, b, m: cv.boolean_product_moment(
+                 a, b, list(zip(m, (1, 2) * 4)))]
     for call in calls:
         for mono, bad in ((('x', '1'), '1'), (('x', 'z'), 'z'),
                           (('1', 'x'), '1')):
             with pytest.raises(ValueError,
                                match=f"unknown variable '{bad}'"):
-                call(mono)
+                call(mu, mu, mono)
+        for a, b in ((mu, nu), (nu, mu)):
+            for mono in (('x',), ('z',), ('x',) * 7):
+                with pytest.raises(ValueError,
+                                   match='^distributions must share an '
+                                   'alphabet$'):
+                    call(a, b, mono)
+        with pytest.raises(ValueError,
+                           match='^word length 7 exceeds distribution '
+                           'order$'):
+            call(mu, mu, ('x',) * 7)
+        for a, b in ((mu, short), (short, mu)):
+            with pytest.raises(ValueError,
+                               match='^word length 3 exceeds distribution '
+                               'order$'):
+                call(a, b, ('x',) * 3)
+
+
+def test_alphabets_compare_as_sets():
+    # moments are looked up by word, so the order of the letters does not
+    # matter; a real mismatch keeps its message
+    mu1, mu2 = seeded_pair(4)
+    yx = cv.Distribution(('y', 'x'), mu2.order, mu2.moments)
+    for mono in (('x',), ('x', 'y'), ('y', 'x', 'y'), ('x', 'y', 'y', 'x')):
+        n = len(mono)
+        assert cv.boxplus_total(mu1, yx, mono) \
+            == cv.boxplus_total(mu1, mu2, mono)
+        assert cv.uplus_total(yx, mu1, mono) == cv.uplus_total(mu2, mu1, mono)
+        assert cv.delta(mu1, yx, mono) == cv.delta(mu1, mu2, mono)
+        assert cv.decompose(yx, mu1, mono) == cv.decompose(mu2, mu1, mono)
+        assert cv.boxplus_w(mu1, yx, mono, (1,) * n) \
+            == cv.boxplus_w(mu1, mu2, mono, (1,) * n)
+        labeled = list(zip(mono, (1, 2) * 2))
+        assert cv.free_product_moment(mu1, yx, labeled) \
+            == cv.free_product_moment(mu1, mu2, labeled)
+    xyz = cv.Distribution(('x', 'y', 'z'), 1, {('x',): 0, ('y',): 0,
+                                               ('z',): 0})
+    for other in (xyz, bernoulli()):
+        with pytest.raises(ValueError, match='must share an alphabet'):
+            cv.boxplus_total(yx, other, ('x',))
 
 
 def test_evaluate_rejects_non_moment_symbols():
@@ -277,6 +344,35 @@ def test_evaluate_rejects_non_moment_symbols():
     for label in (0, 3):
         with pytest.raises(ValueError, match=f'label {label}'):
             cv.evaluate(cm.m_sym(label, ('x',)), mu, mu)
+
+
+def test_numeric_path_matches_frozen_evaluate():
+    # each numeric entry point equals frozen_evaluate of its symbolic
+    # part, on every route where it takes one
+    for seed in (5, 6):
+        mu1, mu2 = seeded_pair(seed)
+        for n in range(1, 5):
+            for mono in iproduct('xy', repeat=n):
+                for route in ('replica', 'monotone', 'nested'):
+                    parts = {w: frozen_evaluate(
+                        cv.boxplus_w_sym(w, mono, route), mu1, mu2)
+                        for w in wd.enumerate_words(n)}
+                    assert cv.decompose(mu1, mu2, mono, route) == parts
+                    for w, want in parts.items():
+                        assert cv.boxplus_w(mu1, mu2, mono, w, route) == want
+                    assert cv.boxplus_total(mu1, mu2, mono, route) == \
+                        frozen_evaluate(cv.boxplus_total_sym(mono, route),
+                                        mu1, mu2)
+                assert cv.uplus_total(mu1, mu2, mono) == frozen_evaluate(
+                    cv.boxplus_w_sym((1,) * n, mono, 'monotone'), mu1, mu2)
+                got = cv.delta(mu1, mu2, mono)
+                assert type(got) is Fraction
+                assert got == frozen_evaluate(cv.delta_sym(mono), mu1, mu2)
+    # the empty monomial: moment 1, no difference, and no words
+    assert cv.boxplus_total(mu1, mu2, ()) == cv.uplus_total(mu1, mu2, ()) == 1
+    assert cv.delta(mu1, mu2, ()) == 0
+    with pytest.raises(ValueError, match='word length must be >= 1'):
+        cv.decompose(mu1, mu2, ())
 
 
 def seeded_pair(seed, alphabet=('x', 'y'), order=4):
