@@ -5,6 +5,16 @@ irreducible part NC_irr(w), the monotone subfamilies M(w) and M_irr(w),
 the least element 0_hat, coarsening moves generating the lattice, interval
 splits Int(w), labeled variants, the depth-word bijection eta and the
 poset over all pairs (partition, word).
+
+NC(w) is generated from one grammar in step form, _steps: a state is
+the first block of a run at its current last element, keyed on the
+letters from there on, and its moves close the block or step it to a
+later element over a gap run. A run's states are filled right to left,
+since each move reaches a shorter suffix, so no block recurses along
+its length. The states are read two ways: run_shapes reads whole first
+blocks, for the convolution routes and replicas.Inversion, and
+_partitions folds the steps directly into the lists of
+enumerate_adapted.
 """
 
 from functools import lru_cache
@@ -104,8 +114,9 @@ def is_monotone(pi, w):
 
 @lru_cache(maxsize=1024)
 def run_shapes(key):
-    """The grammar of NC(w), written once for every consumer: the shapes
-    of the partitions of one run into sibling blocks.
+    """The grammar of NC(w) read whole: the shapes of the partitions of
+    one run into sibling blocks, for the consumers that need a whole
+    first block at once.
 
     A run is the stretch of letters filled by the blocks in one gap of
     an outer block, or by the top-level blocks; key = (letters, depth,
@@ -115,7 +126,8 @@ def run_shapes(key):
     deeper, below the higher of the letters around it. It closes at h,
     and the letters after it are a run again. With `base` the blocks
     are monotone, at the letter base + depth - 1; with `irr` the block
-    closes only at the end.
+    closes only at the end. That rule is written once, in step form, in
+    _steps; a shape is a path of its moves from the first letter.
 
     A shape is (block, gaps, rest): the first block as positions 1.. of
     the run, the key of the run in the gap after each of its positions
@@ -128,37 +140,73 @@ def run_shapes(key):
     later call reads, and a larger bound cost memory and saved no time."""
     if not _opens(key):
         return ()
-    letters, depth, bridge, base, irr = key
-    h, n = letters[0], len(letters)
-
-    def run(i, j, depth, bridge):
-        # the key of the run on letters i+1..j, None if it has no partition
-        sub = (letters[i:j], depth, bridge, base, False)
-        return sub if _opens(sub) and run_shapes(sub) else None
-
+    moves = _moves(key)
     shapes = []
-    stack = [((1,), ())]  # a recursive closure would leave a ref cycle
+    # a recursive closure would leave a ref cycle
+    stack = [((1,), ())] if moves[0] else []
     while stack:
         block, gaps = stack.pop()
         last = block[-1]
-        x = letters[last - 1]
-        if x == h and (last == n or not irr and letters[last] == h):
-            rest = run(last, n, depth, bridge) if last < n else None
-            if last == n or rest:
-                shapes.append((block, gaps, rest))
-        grown = []
-        for q in range(last + 1, n + 1):
-            if q > last + 1 and letters[q - 2] < letters[last]:
-                break  # so would every longer gap hold a letter below its own
-            y = letters[q - 1]
-            if y < h or abs(y - x) > 1 or base is not None and y != h:
-                continue
-            gap = run(last, q - 1, depth + 1, max(x, y)) if q > last + 1 \
-                else None
-            if q == last + 1 or gap:
-                grown.append((block + (q,), gaps + (gap,)))
-        stack += reversed(grown)
+        for k, run in reversed(moves[last - 1]):
+            if k:
+                stack.append((block + (last + k,), gaps + (run,)))
+            else:
+                shapes.append((block, gaps, run))
     return tuple(shapes)
+
+
+@lru_cache(maxsize=2048)
+def _steps(state):
+    """The grammar of NC(w), written once for every consumer, in step
+    form: the moves of a run's first block at its current last element.
+    state = (the run's letters from that element on, h, depth, bridge,
+    base, irr), the rest as in a run_shapes key.
+
+    A move is (0, the key of the rest or None) when the block may close
+    there, then (k, the key of the gap or None) for each letter k places
+    on that it may step to, in order of k. Only moves that lead to a
+    whole partition are listed, so a state with none is dead. The next
+    state is always a shorter suffix of the same run, so a run's states
+    are filled right to left (_moves), and none recurses along its
+    block; only gap runs nest, by height. Keyed on the letters that
+    follow, so runs and words that share a suffix share their states.
+    Bounded at 2,048, which holds every state of a block through 1,200
+    letters; on the convolution totals of long words a larger bound cost
+    memory and saved no time."""
+    letters, h, depth, bridge, base, irr = state
+    x, n = letters[0], len(letters)
+    moves = []
+    if x == h and (n == 1 or not irr and letters[1] == h
+                   and _steps((letters[1:],) + state[1:])):
+        moves.append((0, (letters[1:],) + state[2:] if n > 1 else None))
+    for k in range(1, n):
+        if k > 1 and letters[k - 1] < letters[1]:
+            break  # so would every longer gap hold a letter below its own
+        y = letters[k]
+        if y < h or abs(y - x) > 1 or base is not None and y != h:
+            continue
+        gap = (letters[1:k], depth + 1, max(x, y), base, False) if k > 1 \
+            else None
+        if (k == 1 or _opens(gap) and _moves(gap)[0]) \
+                and _steps((letters[k:],) + state[1:]):
+            moves.append((k, gap))
+    return tuple(moves)
+
+
+@lru_cache(maxsize=1024)
+def _moves(key):
+    """The moves of the run `key` from each of its letters, by position:
+    _steps of the state there if its first block may hold the letter,
+    else (). Filled right to left, so every state's next states are
+    filled before it; the run has a partition when its first letter has
+    a move. Cached, since the check of a gap in _steps, run_shapes and
+    _partitions all read a run's table; bounded like run_shapes."""
+    letters, h, base = key[0], key[0][0], key[3]
+    moves = [()] * len(letters)
+    for i in range(len(letters) - 1, -1, -1):
+        if letters[i] == h or base is None and letters[i] > h:
+            moves[i] = _steps((letters[i:], h) + key[1:])
+    return tuple(moves)
 
 
 def _opens(key):
@@ -172,21 +220,45 @@ def _opens(key):
 @lru_cache(maxsize=4096)
 def _partitions(key, at):
     """The partitions of the run `key` whose positions follow `at`, as a
-    tuple: the grammar run_shapes read as a list. For each shape, its
-    first block with a partition of each gap's run and of the rest
-    appended, so the blocks come in order of their minima. The first
-    blocks come in lexicographic order, and one gap's blocks all end
-    before the next gap's begin, so the list is sorted as it is built,
-    as _nc's is. Keyed like run_shapes, plus the offset, so every word
-    and class that holds a run at one offset shares its entry. Bounded,
-    since an entry holds whole lists of partitions and a long word's
-    top-level entry all of NC(w)."""
+    tuple: the grammar _steps folded right to left over the run's states.
+
+    A state's completions are the ways to finish the first block from
+    it: (the block's further positions, the partition lists of its later
+    gaps and of the rest), grouped by those positions in lexicographic
+    order. A close adds the list of the rest, built from the next
+    state's completions, and a step adds the gap's list before each
+    completion of the state it reaches. Each completion of the first
+    letter's state then gives its block with every product of its lists
+    appended (_listed), so the blocks come in order of their minima, and
+    one gap's blocks all end before the next gap's begin: the list is
+    sorted as it is built, as _nc's is. Keyed like run_shapes, plus the
+    offset, so every word and class that holds a run at one offset
+    shares its entry. Bounded, since an entry holds whole lists of
+    partitions and a long word's top-level entry all of NC(w)."""
+    if not _opens(key):
+        return ()
+    moves = _moves(key)
+    done = [None] * len(moves)
+    for i in range(len(moves) - 1, -1, -1):
+        p = at + i + 1
+        groups = []
+        for k, run in moves[i]:
+            if not k:
+                groups.append(((), (_listed(done[i + 1], p),) if run else ()))
+            else:
+                fill = (_partitions(run, p),) if run else ()
+                groups += [((p + k,) + tail, fill + fills)
+                           for tail, fills in done[i + k]]
+        done[i] = groups
+    return _listed(done[0], at)
+
+
+def _listed(groups, at):
+    """The partitions of completions of a first block at position at + 1:
+    the block, then each product of its partition lists."""
     out = []
-    for block, gaps, rest in run_shapes(key):
-        fills = [_partitions(g, at + p) for p, g in zip(block, gaps) if g]
-        if rest:
-            fills.append(_partitions(rest, at + block[-1]))
-        out += sp._products((tuple([at + p for p in block]),), fills)
+    for tail, fills in groups:
+        out += sp._products((((at + 1,) + tail),), fills)
     return tuple(out)
 
 

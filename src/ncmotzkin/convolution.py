@@ -259,8 +259,9 @@ def _w_part(w, names, route):
     if len(names) != n:
         raise ValueError('word/monomial length mismatch')
     if n == 0:
-        return ONE
-    if not wd.is_reduced(w):
+        if route in ('replica', 'monotone', 'nested'):
+            return ONE
+    elif not wd.is_reduced(w):
         raise ValueError(f'{w} is not a reduced Motzkin word')
     if route == 'replica':
         # a labeling with l_1 = 2 is the mirror of one with l_1 = 1
@@ -372,18 +373,15 @@ def boxplus_w(mu1, mu2, monomial, w, route='monotone'):
 
 def boxplus_total_sym(variables, route='monotone'):
     variables = tuple(str(v) for v in variables)
-    if not variables:
-        return ONE
-    return _total(variables, route)
+    return _total(variables, route) if variables else _w_part((), (), route)
 
 
 def boxplus_total(mu1, mu2, monomial, route='monotone'):
     """Free convolution moment: the sum of boxplus_w over all reduced
     words of the monomial's length."""
     names = _check_pair(mu1, mu2, monomial)
-    if not names:
-        return Fraction(1)
-    return evaluate(_total(names, route), mu1, mu2)
+    part = _total(names, route) if names else _w_part((), (), route)
+    return evaluate(part, mu1, mu2)
 
 
 def uplus_total(mu1, mu2, monomial):
@@ -412,7 +410,7 @@ def delta(mu1, mu2, monomial):
 
 def decompose(mu1, mu2, monomial, route='monotone'):
     """Map w -> boxplus_w value over all reduced words of the monomial's
-    length."""
+    length; the empty monomial has the one part {(): 1}."""
     names = _check_pair(mu1, mu2, monomial)
-    return {w: evaluate(_w_part(w, names, route), mu1, mu2)
-            for w in wd.enumerate_words(len(names))}
+    words = wd.enumerate_words(len(names)) if names else [()]
+    return {w: evaluate(_w_part(w, names, route), mu1, mu2) for w in words}

@@ -522,6 +522,63 @@ def test_enumerate_adapted_matches_frozen_filter():
         ad.enumerate_adapted(())
 
 
+@lru_cache(maxsize=1024)
+def frozen_run_shapes(key):
+    """The grammar listing every first block of a run whole: the
+    reference for the step form behind ad.run_shapes."""
+    if not frozen_opens(key):
+        return ()
+    letters, depth, bridge, base, irr = key
+    h, n = letters[0], len(letters)
+
+    def run(i, j, depth, bridge):
+        # the key of the run on letters i+1..j, None if it has no partition
+        sub = (letters[i:j], depth, bridge, base, False)
+        return sub if frozen_opens(sub) and frozen_run_shapes(sub) else None
+
+    shapes = []
+    stack = [((1,), ())]  # a recursive closure would leave a ref cycle
+    while stack:
+        block, gaps = stack.pop()
+        last = block[-1]
+        x = letters[last - 1]
+        if x == h and (last == n or not irr and letters[last] == h):
+            rest = run(last, n, depth, bridge) if last < n else None
+            if last == n or rest:
+                shapes.append((block, gaps, rest))
+        grown = []
+        for q in range(last + 1, n + 1):
+            if q > last + 1 and letters[q - 2] < letters[last]:
+                break  # so would every longer gap hold a letter below its own
+            y = letters[q - 1]
+            if y < h or abs(y - x) > 1 or base is not None and y != h:
+                continue
+            gap = run(last, q - 1, depth + 1, max(x, y)) if q > last + 1 \
+                else None
+            if q == last + 1 or gap:
+                grown.append((block + (q,), gaps + (gap,)))
+        stack += reversed(grown)
+    return tuple(shapes)
+
+
+def frozen_opens(key):
+    """Whether a run's first letter is at least its bridge and depth, and
+    the letter its depth fixes for monotone blocks."""
+    letters, depth, bridge, base, _irr = key
+    h = letters[0]
+    return bridge <= h >= depth and (base is None or depth == h - base + 1)
+
+
+def test_run_shapes_match_frozen():
+    keys = [(w, depth, bridge, base, irr)
+            for n in range(1, 7) for w in iproduct((1, 2, 3), repeat=n)
+            for depth in (1, 2) for bridge in (0, 1, 2)
+            for base in (None, min(w)) for irr in (False, True)]
+    for key in keys:
+        assert ad.run_shapes(key) == frozen_run_shapes(key), key
+    assert len(keys) == 26208
+
+
 def frozen_enumerate_adapted(w, cls='all'):
     """The run fold with a memo of its own for each call: the reference
     for the fold kept across calls."""
@@ -530,7 +587,7 @@ def frozen_enumerate_adapted(w, cls='all'):
     @lru_cache(maxsize=None)
     def partitions(key, at):
         out = []
-        for block, gaps, rest in ad.run_shapes(key):
+        for block, gaps, rest in frozen_run_shapes(key):
             fills = [partitions(g, at + p) for p, g in zip(block, gaps) if g]
             if rest:
                 fills.append(partitions(rest, at + block[-1]))
@@ -544,18 +601,28 @@ def frozen_enumerate_adapted(w, cls='all'):
     return out
 
 
+def test_long_run_is_filled_without_recursion():
+    # a block through 1,200 letters: its states are filled right to left
+    n = 1200
+    assert ad.enumerate_adapted((1,) * n, 'monotone_irr') == \
+        [(tuple(range(1, n + 1)),)]
+
+
 def test_enumerate_adapted_matches_frozen_closure():
     cases = [(w, cls) for n in range(1, 9) for w in wd.enumerate_words(n)
              for cls in ('all', 'irr', 'monotone', 'monotone_irr')]
     want = {case: frozen_enumerate_adapted(*case) for case in cases}
+    caches = (ad._partitions, ad._moves, ad._steps)
     for case in cases:  # cold: nothing left by another word
-        ad._partitions.cache_clear()
+        for cache in caches:
+            cache.cache_clear()
         assert ad.enumerate_adapted(*case) == want[case], case
     for order in (cases, cases[::-1]):  # warm: runs left by other words
-        ad._partitions.cache_clear()
+        for cache in caches:
+            cache.cache_clear()
         for case in order + order:
             assert ad.enumerate_adapted(*case) == want[case], case
-    assert ad._partitions.cache_info().maxsize is not None
+    assert all(cache.cache_info().maxsize is not None for cache in caches)
     w = (1, 2, 2, 1)
     ad.enumerate_adapted(w).append('junk')
     assert 'junk' not in ad.enumerate_adapted(w)

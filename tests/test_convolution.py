@@ -271,6 +271,14 @@ def test_boxplus_w_validates():
         cv.boxplus_w(mu, mu, ('x', 'x'), (2, 2))
     with pytest.raises(ValueError):
         cv.boxplus_w(mu, mu, ('x',), (1, 1))
+    # the route is checked on the empty monomial too
+    for call in (lambda r: cv.boxplus_w(mu, mu, (), (), r),
+                 lambda r: cv.boxplus_total(mu, mu, (), r),
+                 lambda r: cv.decompose(mu, mu, (), r),
+                 lambda r: cv.boxplus_total_sym((), r),
+                 lambda r: cv.boxplus_w_sym((), (), r)):
+        with pytest.raises(ValueError, match="^unknown route 'bogus'$"):
+            call('bogus')
     nu = cv.univariate_distribution([1], 'y')
     short = cv.univariate_distribution([0, 1])
     # every monomial letter must be in the alphabet; '1' never is. The
@@ -368,11 +376,13 @@ def test_numeric_path_matches_frozen_evaluate():
                 got = cv.delta(mu1, mu2, mono)
                 assert type(got) is Fraction
                 assert got == frozen_evaluate(cv.delta_sym(mono), mu1, mu2)
-    # the empty monomial: moment 1, no difference, and no words
-    assert cv.boxplus_total(mu1, mu2, ()) == cv.uplus_total(mu1, mu2, ()) == 1
+    # the empty monomial: moment 1, no difference, and the one part of
+    # the empty word, so the parts sum to the total
+    for route in ('replica', 'monotone', 'nested'):
+        assert cv.boxplus_total(mu1, mu2, (), route) == 1
+        assert cv.decompose(mu1, mu2, (), route) == {(): Fraction(1)}
+    assert cv.uplus_total(mu1, mu2, ()) == 1
     assert cv.delta(mu1, mu2, ()) == 0
-    with pytest.raises(ValueError, match='word length must be >= 1'):
-        cv.decompose(mu1, mu2, ())
 
 
 def seeded_pair(seed, alphabet=('x', 'y'), order=4):
@@ -643,35 +653,40 @@ def test_shared_monotone_runs_give_the_same_part():
 
 
 def test_grammar_entries_are_shared_by_words_and_consumers():
-    grammar = ad.run_shapes
-    assert grammar.cache_info().maxsize is not None
+    # the shared entries of the grammar are its step states (_steps) and
+    # each run's table of them (_moves), which run_shapes reads whole
+    tables, states = ad._moves, ad._steps
+    assert tables.cache_info().maxsize is not None
+    assert states.cache_info().maxsize is not None
+
+    def clear():
+        for cache in (tables, states, ad.run_shapes, ad._partitions,
+                      cv._monotone_run):
+            cache.cache_clear()
+
     w = (1, 2, 2, 1, 2, 1)
     pattern = ('#1', '#2', '#1', '#1', '#2', '#3')
     for route, cls in (('monotone', 'monotone'), ('nested', 'all')):
-        grammar.cache_clear()
-        ad._partitions.cache_clear()
-        cv._monotone_run.cache_clear()
+        clear()
         cv._w_part.__wrapped__(w, pattern, route)
-        left = grammar.cache_info()
+        left, built = tables.cache_info(), states.cache_info().misses
         assert left.currsize > 0
         # the list of the same family finds every run the route left
         assert ad.enumerate_adapted(w, cls) == filtered_family(w, cls)
-        after = grammar.cache_info()
+        after = tables.cache_info()
         assert after.misses == left.misses, route
         assert after.hits > left.hits, route
-    # a word that holds some of the runs builds only the others
-    grammar.cache_clear()
-    ad._partitions.cache_clear()
+        assert states.cache_info().misses == built, route
+    # a word that shares a suffix with it builds only its other states
+    clear()
     ad.enumerate_adapted((1, 2, 2, 1, 1, 1), 'monotone')
-    cold = grammar.cache_info().misses
-    grammar.cache_clear()
-    ad._partitions.cache_clear()
-    cv._monotone_run.cache_clear()
+    cold = states.cache_info().misses
+    clear()
     cv._w_part.__wrapped__(w, pattern, 'monotone')
-    left = grammar.cache_info()
+    left = states.cache_info()
     assert ad.enumerate_adapted((1, 2, 2, 1, 1, 1), 'monotone') == \
         filtered_family((1, 2, 2, 1, 1, 1), 'monotone')
-    assert grammar.cache_info().misses - left.misses < cold
+    assert states.cache_info().misses - left.misses < cold
 
 
 def test_parts_match_frozen_build_on_every_names_tuple():
